@@ -15,23 +15,11 @@ import csv
 from pathlib import Path
 
 from charnet import EpisodeKey, EpisodeMetrics, RatingsTable, correlate_all
-from charnet.metrics import METRIC_BY_ATTR
+from charnet.metrics import METRIC_BY_ATTR, METRICS
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "reference"
 SERIES = ("got", "hoc", "bb")
-COLUMNS = (
-    "density",
-    "efficiency",
-    "transitivity",
-    "strength_max",
-    "strength_std",
-    "degree_max",
-    "degree_std",
-    "harmonic_max",
-    "harmonic_std",
-    "eigen_max",
-    "eigen_std",
-)
+COLUMNS = tuple(column.attr for column in METRICS[1:])  # active_nodes is not tabulated
 SIGN_FLIPPED = {("hoc", "harmonic_std")}
 
 

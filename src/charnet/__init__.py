@@ -9,14 +9,11 @@ render tables, plots, and the manifest (report, cli).
 
 from .errors import CharnetError
 from .graph import (
-    UNREACHABLE,
-    DistanceMap,
     EpisodeGraph,
     EpisodeKey,
     SegmentGraph,
     add_interaction,
     aggregate_segments,
-    bfs_distances,
     connected_components,
 )
 from .ingest import (
@@ -59,14 +56,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharnetError",
-    "UNREACHABLE",
-    "DistanceMap",
     "EpisodeGraph",
     "EpisodeKey",
     "SegmentGraph",
     "add_interaction",
     "aggregate_segments",
-    "bfs_distances",
     "connected_components",
     "DatasetManifest",
     "RatingsTable",

@@ -91,12 +91,16 @@ def _check_paths(config: RunConfig) -> None:
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
 
-def _load_run(config: RunConfig) -> LoadedRun:
+def _dataset(config: RunConfig) -> tuple[list[EpisodeGraph], RatingsTable, DatasetManifest]:
     _check_paths(config)
     files = sorted(config.segments_dir.glob("*.json"))
     if not files:
         raise EmptyDatasetError(f"no episode files found in {config.segments_dir}")
-    episodes, ratings, manifest = load_dataset(files, config.ratings_file)
+    return load_dataset(files, config.ratings_file)
+
+
+def _load_run(config: RunConfig) -> LoadedRun:
+    episodes, ratings, manifest = _dataset(config)
     metrics_config = MetricsConfig(
         efficiency_mode=config.efficiency_mode,
         eigen_tol=config.eigen_tol,
@@ -120,29 +124,17 @@ def _echo_lines(config: RunConfig) -> list[str]:
     return lines
 
 
-def _eigen_echo(config: RunConfig) -> list[str]:
-    # the correlation footer already records efficiency mode and std
-    # convention, so only the remaining knobs are echoed here
-    lines = [
-        f"eigen tol: {config.eigen_tol:g}",
-        f"eigen max iterations: {config.eigen_max_iter}",
-    ]
-    if config.permutations is not None:
-        lines.append(f"permutations: {config.permutations}, seed: {config.seed}")
-    return lines
-
-
 def _write(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8", newline="")
     print(f"wrote {path}")
 
 
 def cmd_validate(config: RunConfig) -> int:
-    run = _load_run(config)
-    text = render_manifest(run.manifest)
+    _, _, manifest = _dataset(config)
+    text = render_manifest(manifest)
     _write(config.out_dir / "manifest.txt", text)
     sys.stdout.write(text)
-    return 1 if run.manifest.warning_count() else 0
+    return 1 if manifest.warning_count() else 0
 
 
 def cmd_metrics(config: RunConfig, run: LoadedRun | None = None) -> int:
@@ -165,7 +157,7 @@ def cmd_metrics(config: RunConfig, run: LoadedRun | None = None) -> int:
 
 def cmd_correlate(config: RunConfig, run: LoadedRun | None = None) -> int:
     run = run or _load_run(config)
-    echo = _eigen_echo(config)
+    echo = _echo_lines(config)
     for series in run.series_names():
         report = correlate_all(
             run.rows_for(series),

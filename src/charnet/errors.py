@@ -9,7 +9,7 @@ class CharnetError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# graph construction / traversal
+# graph construction
 
 class SelfLoopError(CharnetError):
     """An interaction was declared between a character and itself."""
@@ -21,10 +21,6 @@ class NonPositiveWeightError(CharnetError):
 
 class EmptyEpisodeError(CharnetError):
     """An episode was aggregated from an empty segment list."""
-
-
-class UnknownNodeError(CharnetError):
-    """A traversal was started from a node that is not in the graph."""
 
 
 # dataset ingestion

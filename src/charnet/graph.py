@@ -18,16 +18,12 @@ from .errors import (
     InvariantError,
     NonPositiveWeightError,
     SelfLoopError,
-    UnknownNodeError,
 )
 
 # Character identifiers are plain strings: trimmed, never empty.
 CharacterId = str
 
 Pair = tuple[CharacterId, CharacterId]
-
-# Hop distance assigned to node pairs in different components.
-UNREACHABLE = math.inf
 
 
 def normalize_character(name: str) -> CharacterId:
@@ -82,14 +78,6 @@ class EpisodeGraph:
     ordinal: int = 0
 
 
-@dataclass
-class DistanceMap:
-    """Hop distances from one source node; UNREACHABLE marks other components."""
-
-    source: CharacterId
-    distances: dict[CharacterId, float]
-
-
 def add_interaction(graph, a: CharacterId, b: CharacterId, seconds: float):
     """Record `seconds` of conversation between characters a and b.
 
@@ -134,23 +122,6 @@ def adjacency(graph) -> dict[CharacterId, set[CharacterId]]:
         neighbors.setdefault(a, set()).add(b)
         neighbors.setdefault(b, set()).add(a)
     return neighbors
-
-
-def bfs_distances(graph, source: CharacterId) -> DistanceMap:
-    """Unweighted hop distances from source to every node of the graph."""
-    if source not in graph.nodes:
-        raise UnknownNodeError(f"source {source!r} is not in the graph")
-    neighbors = adjacency(graph)
-    distances: dict[CharacterId, float] = {v: UNREACHABLE for v in graph.nodes}
-    distances[source] = 0.0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in neighbors[u]:
-            if distances[v] == UNREACHABLE:
-                distances[v] = distances[u] + 1.0
-                queue.append(v)
-    return DistanceMap(source=source, distances=distances)
 
 
 def connected_components(graph) -> list[set[CharacterId]]:

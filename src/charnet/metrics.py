@@ -2,15 +2,19 @@
 
 Every metric is computed over the ACTIVE node set (degree >= 1): silent
 characters never enter a denominator.  Topology metrics treat the graph as
-unweighted; edge weights feed node strength only.  All iteration runs in
-sorted node/pair order so float sums are identical across runs and hash
-seeds.
+unweighted; edge weights feed node strength only.
+
+No value depends on the order in which nodes or pairs are visited: hop
+distances are counted in integers and rounded once, and float sums go
+through math.fsum.  So mathematically equal values are equal floats, and
+renaming characters changes nothing.  Eigenvector centrality is the
+exception: power iteration stops within its tolerance, in sorted node
+order, so it is only identical across runs and hash seeds.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -110,53 +114,83 @@ def density(graph) -> float:
 
 def node_strengths(graph) -> CentralityVector:
     """Total conversation seconds per active node (sum of incident weights)."""
-    scores: dict[CharacterId, float] = {}
-    for pair in sorted(graph.edges):
-        weight = graph.edges[pair]
+    incident: dict[CharacterId, list[float]] = {}
+    for pair, weight in graph.edges.items():
         for v in pair:
-            scores[v] = scores.get(v, 0.0) + weight
-    return CentralityVector("strength", scores)
+            incident.setdefault(v, []).append(weight)
+    return CentralityVector(
+        "strength", {v: math.fsum(weights) for v, weights in incident.items()}
+    )
 
 
-def _induced_adjacency(graph, nodes: set[CharacterId]) -> dict[CharacterId, set[CharacterId]]:
-    adj: dict[CharacterId, set[CharacterId]] = {v: set() for v in nodes}
+def _index(graph) -> tuple[dict[CharacterId, int], list[int]]:
+    """The active nodes in sorted order, each mapped to its bit position, and
+    per position the neighbors as an int bitset (bit j set: edge to node j)."""
+    position = {v: i for i, v in enumerate(sorted(active_node_set(graph)))}
+    nbr = [0] * len(position)
     for a, b in graph.edges:
-        if a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
+        i, j = position[a], position[b]
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    return position, nbr
 
 
-def _hop_distances(adj: dict[CharacterId, set[CharacterId]], source: CharacterId) -> dict[CharacterId, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _efficiency_within(adj: dict[CharacterId, set[CharacterId]]) -> float:
-    """Mean reciprocal hop distance over ordered node pairs; 0 below 2 nodes."""
-    n = len(adj)
+def _reciprocal_sum(nbr: list[int], sources: int, within: int) -> float:
+    """Sum of 1 / hop distance from every node of `sources` to every other
+    node it reaches by paths that stay inside `within`.
+
+    One BFS per source with a bitset frontier.  Pairs are counted per hop as
+    integers and only the final sum is rounded, so the result is the exact
+    value correctly rounded: it depends on the distance histogram alone,
+    never on node names or visiting order.
+    """
+    counts: list[int] = []  # counts[k - 1]: (source, node) pairs k hops apart
+    for source in _bits(sources):
+        reached = frontier = 1 << source
+        hop = 0
+        while True:
+            step = 0
+            for u in _bits(frontier):
+                step |= nbr[u]
+            frontier = step & within & ~reached
+            if not frontier:
+                break
+            reached |= frontier
+            if hop == len(counts):
+                counts.append(0)
+            counts[hop] += frontier.bit_count()
+            hop += 1
+    scale = math.lcm(*range(1, len(counts) + 1))
+    return sum(c * (scale // k) for k, c in enumerate(counts, 1)) / scale
+
+
+def _efficiency(nbr: list[int], mask: int) -> float:
+    """Mean reciprocal hop distance over ordered node pairs of the subgraph
+    induced by mask; 0 below 2 nodes."""
+    n = mask.bit_count()
     if n < 2:
         return 0.0
-    total = 0.0
-    for source in sorted(adj):
-        reached = _hop_distances(adj, source)
-        for v in sorted(reached):
-            if v != source:
-                total += 1.0 / reached[v]
-    return total / (n * (n - 1))
+    return _reciprocal_sum(nbr, mask, mask) / (n * (n - 1))
 
 
 def global_efficiency(graph) -> float:
     """Efficiency of the whole graph as given; unreachable pairs contribute 0."""
-    adj = _induced_adjacency(graph, set(graph.nodes))
-    return _efficiency_within(adj)
+    n = len(graph.nodes)
+    if n < 2:
+        return 0.0
+    _, nbr = _index(graph)
+    everyone = (1 << len(nbr)) - 1
+    return _reciprocal_sum(nbr, everyone, everyone) / (n * (n - 1))
 
 
 def efficiency_metric(graph, mode: str = "component-mean") -> float:
@@ -170,35 +204,37 @@ def efficiency_metric(graph, mode: str = "component-mean") -> float:
         parts = [part for part in connected_components(graph) if len(part) >= 2]
         if not parts:
             raise DegenerateGraphError("no connected component has 2 or more nodes")
-        values = [_efficiency_within(_induced_adjacency(graph, part)) for part in parts]
-        return sum(values) / len(values)
-    if mode == "neighborhood":
-        active = active_node_set(graph)
-        if not active:
+        position, nbr = _index(graph)
+        masks = [sum(1 << position[v] for v in part) for part in parts]
+    elif mode == "neighborhood":
+        _, nbr = _index(graph)
+        if not nbr:
             raise DegenerateGraphError("no active nodes")
-        adj = _induced_adjacency(graph, active)
-        values = [
-            _efficiency_within(_induced_adjacency(graph, adj[v])) for v in sorted(active)
-        ]
-        return sum(values) / len(values)
-    raise ValueError(f"unknown efficiency mode {mode!r}")
+        masks = nbr
+    else:
+        raise ValueError(f"unknown efficiency mode {mode!r}")
+    return math.fsum(_efficiency(nbr, mask) for mask in masks) / len(masks)
 
 
 def transitivity(graph) -> float:
     """3 x triangles / triads; a triad is a 2-path centered at a node."""
-    adj = _induced_adjacency(graph, active_node_set(graph))
-    triads = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in adj.values())
+    position, nbr = _index(graph)
+    triads = sum(d * (d - 1) // 2 for d in (mask.bit_count() for mask in nbr))
     if triads == 0:
         return 0.0
     # each triangle contributes one common neighbor per edge, so this sum is 3 * triangles
-    triangle_paths = sum(len(adj[a] & adj[b]) for a, b in sorted(graph.edges))
+    triangle_paths = sum(
+        (nbr[position[a]] & nbr[position[b]]).bit_count() for a, b in graph.edges
+    )
     return triangle_paths / triads
 
 
 def degree_vector(graph) -> CentralityVector:
     """Unweighted edge count per active node."""
-    adj = _induced_adjacency(graph, active_node_set(graph))
-    return CentralityVector("degree", {v: float(len(adj[v])) for v in adj})
+    position, nbr = _index(graph)
+    return CentralityVector(
+        "degree", {v: float(nbr[i].bit_count()) for v, i in position.items()}
+    )
 
 
 def harmonic_vector(graph) -> CentralityVector:
@@ -206,13 +242,12 @@ def harmonic_vector(graph) -> CentralityVector:
 
     Unreachable pairs contribute 0; no normalization by n - 1.
     """
-    active = active_node_set(graph)
-    adj = _induced_adjacency(graph, active)
-    scores: dict[CharacterId, float] = {}
-    for u in sorted(active):
-        reached = _hop_distances(adj, u)
-        scores[u] = sum(1.0 / reached[v] for v in sorted(reached) if v != u)
-    return CentralityVector("harmonic", scores)
+    position, nbr = _index(graph)
+    everyone = (1 << len(nbr)) - 1
+    return CentralityVector(
+        "harmonic",
+        {v: _reciprocal_sum(nbr, 1 << i, everyone) for v, i in position.items()},
+    )
 
 
 def eigenvector_vector(
@@ -228,16 +263,10 @@ def eigenvector_vector(
     """
     if not graph.edges:
         raise NoEdgesError("eigenvector centrality needs at least one edge")
-    nodes = sorted(active_node_set(graph))
-    index = {v: i for i, v in enumerate(nodes)}
-    neighbors: list[list[int]] = [[] for _ in nodes]
-    for a, b in sorted(graph.edges):
-        neighbors[index[a]].append(index[b])
-        neighbors[index[b]].append(index[a])
-    for row in neighbors:
-        row.sort()
+    position, nbr = _index(graph)
+    neighbors = [_bits(mask) for mask in nbr]
 
-    n = len(nodes)
+    n = len(nbr)
     x = [1.0 / math.sqrt(n)] * n
     delta = math.inf
     for _ in range(max_iter):
@@ -247,7 +276,7 @@ def eigenvector_vector(
         delta = max(abs(y[i] - x[i]) for i in range(n))
         x = y
         if delta < tol:
-            return CentralityVector("eigenvector", dict(zip(nodes, x)))
+            return CentralityVector("eigenvector", dict(zip(position, x)))
     raise ConvergenceError(
         f"power iteration missed tol={tol:g} after {max_iter} iterations (last delta {delta:.3e})"
     )
@@ -257,9 +286,9 @@ def summarize(vec: CentralityVector) -> tuple[float, float]:
     """(max, population std) of a centrality vector."""
     if not vec.scores:
         raise EmptyVectorError(f"cannot summarize an empty {vec.kind} vector")
-    values = [vec.scores[v] for v in sorted(vec.scores)]
-    mean = sum(values) / len(values)
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
+    values = list(vec.scores.values())
+    mean = math.fsum(values) / len(values)
+    variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
     return max(values), math.sqrt(variance)
 
 

@@ -102,7 +102,8 @@ def _correlation_footer(report: CorrelationReport, echo: list[str]) -> list[str]
             lines.append(
                 f"permutation pValue {result.metric_name}: {fmt_real(result.permutation_p)}"
             )
-    lines.extend(echo)
+    # efficiency mode and std convention are already above; echo the rest
+    lines.extend([line for line in echo if line not in lines])
     return lines
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -78,6 +80,18 @@ def brute_harmonic(edges) -> dict[str, float]:
         )
         for u in active
     }
+
+
+def exact_harmonic(nodes, edges) -> dict[str, float]:
+    """Per active node, sum over k of (nodes at Floyd-Warshall distance k) / k,
+    added in exact rationals and rounded once."""
+    active = active_names(edges)
+    dist = floyd_warshall(nodes, edges)
+    out = {}
+    for u in active:
+        histogram = Counter(dist[(u, v)] for v in active if v != u and dist[(u, v)] < math.inf)
+        out[u] = float(sum(Fraction(count, int(k)) for k, count in histogram.items()))
+    return out
 
 
 def brute_global_efficiency(nodes, edges) -> float:

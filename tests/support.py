@@ -9,26 +9,14 @@ from pathlib import Path
 
 from charnet.graph import EpisodeKey, SegmentGraph, add_interaction
 from charnet.ingest import RatingsTable, serialize_episode
-from charnet.metrics import EpisodeMetrics
+from charnet.metrics import METRICS, EpisodeMetrics
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "reference"
 
 SERIES = ("got", "hoc", "bb")
 
 # metric columns present in the reference per-episode tables (active_nodes is not)
-REFERENCE_COLUMNS = (
-    "density",
-    "efficiency",
-    "transitivity",
-    "strength_max",
-    "strength_std",
-    "degree_max",
-    "degree_std",
-    "harmonic_max",
-    "harmonic_std",
-    "eigen_max",
-    "eigen_std",
-)
+REFERENCE_COLUMNS = tuple(column.attr for column in METRICS[1:])
 
 
 def load_reference_metrics(

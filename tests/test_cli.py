@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from charnet import cli
 from charnet.cli import main
 from charnet.graph import EpisodeKey
 from charnet.ingest import serialize_episode
@@ -54,6 +55,13 @@ class TestValidate:
         assert code == 1
         manifest = (tmp_path / "out" / "manifest.txt").read_text()
         assert "warning:" in manifest
+
+    def test_computes_no_metrics(self, clean_dataset, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate must not compute metrics")
+
+        monkeypatch.setattr(cli, "compute_episode_metrics", refuse)
+        assert run_cli("validate", clean_dataset, tmp_path / "out") == 0
 
     def test_missing_ratings_file(self, clean_dataset, tmp_path, capsys):
         segments, _ = clean_dataset

@@ -14,22 +14,20 @@ from charnet.errors import (
     InvariantError,
     NonPositiveWeightError,
     SelfLoopError,
-    UnknownNodeError,
 )
 from charnet.graph import (
-    UNREACHABLE,
     EpisodeGraph,
     EpisodeKey,
     SegmentGraph,
     add_interaction,
     aggregate_segments,
-    bfs_distances,
     canonical_pair,
     connected_components,
     normalize_character,
 )
+from charnet.metrics import harmonic_vector
 
-from oracles import floyd_warshall
+from oracles import exact_harmonic, floyd_warshall
 from support import random_segments
 
 KEY = EpisodeKey("demo", 1, 1)
@@ -198,28 +196,27 @@ def test_aggregation_conserves_total_weight(layout):
 
 
 class TestBfs:
+    """The metrics' BFS kernel, observed through harmonic_vector: every score
+    must be the distance histogram's sum of count_k / k, correctly rounded."""
+
     def test_path_graph(self):
         g = graph_from({("A", "B"): 1.0, ("B", "C"): 1.0})
-        got = bfs_distances(g, "A").distances
-        assert got == {"A": 0.0, "B": 1.0, "C": 2.0}
+        assert harmonic_vector(g).scores == {"A": 1.5, "B": 2.0, "C": 1.5}
 
     def test_unreachable_component(self):
         g = graph_from({("A", "B"): 1.0, ("C", "D"): 1.0})
-        got = bfs_distances(g, "A").distances
-        assert got["C"] is UNREACHABLE or got["C"] == UNREACHABLE
-        assert got["B"] == 1.0
+        assert harmonic_vector(g).scores == {"A": 1.0, "B": 1.0, "C": 1.0, "D": 1.0}
 
     def test_four_cycle(self):
         g = graph_from(
             {("A", "B"): 1.0, ("B", "C"): 1.0, ("C", "D"): 1.0, ("A", "D"): 1.0}
         )
-        got = bfs_distances(g, "A").distances
-        assert got == {"A": 0.0, "B": 1.0, "D": 1.0, "C": 2.0}
+        assert harmonic_vector(g).scores == {"A": 2.5, "B": 2.5, "C": 2.5, "D": 2.5}
 
-    def test_unknown_source_rejected(self):
+    def test_isolated_node_is_no_source(self):
         g = graph_from({("A", "B"): 1.0})
-        with pytest.raises(UnknownNodeError):
-            bfs_distances(g, "Z")
+        g.nodes.add("Z")
+        assert harmonic_vector(g).scores == {"A": 1.0, "B": 1.0}
 
     def test_matches_floyd_warshall_on_random_graphs(self):
         rng = random.Random(99)
@@ -233,32 +230,7 @@ class TestBfs:
                         add_interaction(g, names[i], names[j], 1.0)
             for v in names:
                 g.nodes.add(v)
-            expected = floyd_warshall(g.nodes, g.edges)
-            for u in names:
-                got = bfs_distances(g, u).distances
-                for v in names:
-                    assert got[v] == expected[(u, v)]
-
-    def test_triangle_inequality(self):
-        rng = random.Random(7)
-        g = EpisodeGraph(key=KEY)
-        names = [f"V{i}" for i in range(8)]
-        for i in range(8):
-            for j in range(i + 1, 8):
-                if rng.random() < 0.3:
-                    add_interaction(g, names[i], names[j], 1.0)
-        for v in names:
-            g.nodes.add(v)
-        dist = {u: bfs_distances(g, u).distances for u in names}
-        for u in names:
-            for v in names:
-                for w in names:
-                    if (
-                        dist[u][w] != UNREACHABLE
-                        and dist[u][v] != UNREACHABLE
-                        and dist[v][w] != UNREACHABLE
-                    ):
-                        assert dist[u][w] <= dist[u][v] + dist[v][w]
+            assert harmonic_vector(g).scores == exact_harmonic(g.nodes, g.edges)
 
 
 class TestComponents:
@@ -296,11 +268,11 @@ class TestComponents:
         parts = connected_components(g)
         assert set().union(*parts) == g.nodes
         component_of = {v: i for i, part in enumerate(parts) for v in part}
+        dist = floyd_warshall(g.nodes, g.edges)
         for u in names:
-            dist = bfs_distances(g, u).distances
             for v in names:
                 same = component_of[u] == component_of[v]
-                assert same == (dist[v] != UNREACHABLE)
+                assert same == (dist[(u, v)] < math.inf)
 
 
 def test_canonical_pair_sorts():

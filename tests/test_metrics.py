@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from charnet.errors import (
 )
 from charnet.graph import EpisodeGraph, EpisodeKey, add_interaction
 from charnet.metrics import (
+    EFFICIENCY_MODES,
+    METRICS,
     CentralityVector,
     MetricsConfig,
     active_nodes,
@@ -379,6 +382,8 @@ def test_scale_invariance(layout, factor):
 @settings(max_examples=60, deadline=None)
 @given(_edges20, st.randoms(use_true_random=False))
 def test_label_invariance(layout, rng):
+    # names decide no summation order: every column but eigen (which power
+    # iteration only fixes to eigen_tol) must come back bit-equal
     g = _graph_from_layout(layout)
     names = sorted(g.nodes)
     renamed = names[:]
@@ -387,19 +392,34 @@ def test_label_invariance(layout, rng):
     relabeled = EpisodeGraph(key=KEY)
     for (a, b), w in g.edges.items():
         add_interaction(relabeled, mapping[a], mapping[b], w)
-    base = compute_episode_metrics(g)
-    other = compute_episode_metrics(relabeled)
-    assert other.active_nodes == base.active_nodes
-    assert other.density == base.density
-    assert other.degree_max == base.degree_max
-    assert other.transitivity == pytest.approx(base.transitivity, abs=1e-12)
-    assert other.efficiency == pytest.approx(base.efficiency, abs=1e-12)
-    assert other.harmonic_max == pytest.approx(base.harmonic_max, abs=1e-12)
-    assert other.harmonic_std == pytest.approx(base.harmonic_std, abs=1e-12)
-    assert other.strength_max == pytest.approx(base.strength_max, abs=1e-9)
-    assert other.strength_std == pytest.approx(base.strength_std, abs=1e-9)
-    assert other.eigen_max == pytest.approx(base.eigen_max, abs=1e-8)
-    assert other.eigen_std == pytest.approx(base.eigen_std, abs=1e-8)
+    for mode in EFFICIENCY_MODES:
+        config = MetricsConfig(efficiency_mode=mode)
+        base = compute_episode_metrics(g, config)
+        other = compute_episode_metrics(relabeled, config)
+        for column in METRICS:
+            if column.attr in ("eigen_max", "eigen_std"):
+                expected = pytest.approx(getattr(base, column.attr), abs=1e-8)
+            else:
+                expected = getattr(base, column.attr)
+            assert getattr(other, column.attr) == expected, (mode, column.attr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_edges20)
+def test_topology_matches_networkx(layout):
+    g = _graph_from_layout(layout)
+    reference = nx.Graph(list(g.edges))
+    harmonic = harmonic_vector(g).scores
+    for node, expected in nx.harmonic_centrality(reference).items():
+        assert harmonic[node] == pytest.approx(expected, abs=1e-9)
+    parts = [reference.subgraph(c) for c in nx.connected_components(reference)]
+    assert efficiency_metric(g) == pytest.approx(
+        sum(nx.global_efficiency(part) for part in parts) / len(parts), abs=1e-9
+    )
+    assert efficiency_metric(g, mode="neighborhood") == pytest.approx(
+        nx.local_efficiency(reference), abs=1e-9
+    )
+    assert transitivity(g) == pytest.approx(nx.transitivity(reference), abs=1e-9)
 
 
 def test_oracle_equivalence_on_small_graphs():
