@@ -24,30 +24,29 @@ SIGN_FLIPPED = {("hoc", "harmonic_std")}
 
 
 def load_series(series: str) -> tuple[list[EpisodeMetrics], RatingsTable]:
+    """Reference per-episode rows as EpisodeMetrics plus their review scores.
+
+    The got table repeats episode 1; the first occurrence is kept.
+    """
     rows: list[EpisodeMetrics] = []
     ratings = RatingsTable()
-    seen: set[int] = set()
-    with open(DATA_DIR / f"{series}_metrics.csv", newline="") as handle:
+    parse = {attr: int if METRIC_BY_ATTR[attr].integer else float for attr in COLUMNS}
+    with open(DATA_DIR / f"{series}_metrics.csv", newline="", encoding="utf-8") as handle:
         for record in csv.DictReader(handle):
             episode = int(record["episode"])
-            if episode in seen:  # the got table carries one duplicated row
-                continue
-            seen.add(episode)
             key = EpisodeKey(series, 1, episode)
-            rows.append(
-                EpisodeMetrics(
-                    key=key,
-                    ordinal=episode,
-                    **{column: float(record[column]) for column in COLUMNS},
-                )
-            )
+            if key in ratings:
+                continue
+            values = {attr: parse[attr](record[attr]) for attr in COLUMNS}
+            rows.append(EpisodeMetrics(key=key, ordinal=episode, **values))
             ratings.ratings[key] = float(record["review"])
     return rows, ratings
 
 
 def load_reference() -> dict[tuple[str, str], tuple[float, float, str]]:
+    """(series, metric attr) -> (rho, p, stars) as printed in the reference table."""
     out: dict[tuple[str, str], tuple[float, float, str]] = {}
-    with open(DATA_DIR / "reference_correlations.csv", newline="") as handle:
+    with open(DATA_DIR / "reference_correlations.csv", newline="", encoding="utf-8") as handle:
         for record in csv.DictReader(handle):
             out[(record["series"], record["metric"])] = (
                 float(record["rho"]),

@@ -25,7 +25,6 @@ from .errors import (
 from .graph import (
     EpisodeGraph,
     EpisodeKey,
-    Pair,
     SegmentGraph,
     add_interaction,
     aggregate_segments,
@@ -147,7 +146,10 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
             raise FormatError(f"{where}: expected an object, got {type(seg_json).__name__}")
         seg = SegmentGraph(index=position)
 
-        for name in seg_json.get("nodes", []):
+        nodes_json = seg_json.get("nodes", [])
+        if not isinstance(nodes_json, list):
+            raise FormatError(f"{where}: nodes must be a list")
+        for name in nodes_json:
             _text(name, "node name", where)
             try:
                 seg.nodes.add(normalize_character(name))
@@ -157,7 +159,6 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
         edges_json = seg_json.get("edges", [])
         if not isinstance(edges_json, list):
             raise FormatError(f"{where}: edges must be a list")
-        seen_pairs: set[Pair] = set()
         for edge_json in edges_json:
             a = _text(_require(edge_json, "a", where), "edge endpoint", where)
             b = _text(_require(edge_json, "b", where), "edge endpoint", where)
@@ -165,13 +166,13 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise FormatError(f"{where}: edge weight must be a number, got {w!r}")
             try:
+                a, b = normalize_character(a), normalize_character(b)
+                pair = canonical_pair(a, b)
+                if pair in seg.edges:
+                    warnings.append(f"{where}: duplicate edge {pair[0]}-{pair[1]} merged")
                 add_interaction(seg, a, b, w)
             except (SelfLoopError, NonPositiveWeightError, InvariantError) as exc:
                 raise InvariantError(f"{where}: {exc}") from exc
-            pair = canonical_pair(normalize_character(a), normalize_character(b))
-            if pair in seen_pairs:
-                warnings.append(f"{where}: duplicate edge {pair[0]}-{pair[1]} merged")
-            seen_pairs.add(pair)
         if not seg.edges:
             warnings.append(f"{where}: no edges")
         segments.append(seg)
@@ -209,7 +210,7 @@ def parse_ratings_csv(data: bytes | str) -> RatingsTable:
     """Parse the ratings CSV (header: series,season,episode,rating)."""
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")  # spreadsheets often prepend a BOM
         except UnicodeDecodeError as exc:
             raise FormatError(f"ratings CSV is not valid UTF-8: {exc}") from exc
 
@@ -277,7 +278,7 @@ def load_dataset(
     extra_warnings: dict[EpisodeKey, list[str]] = {}
     for path in paths:
         try:
-            episode = parse_segment_file(path.read_text("utf-8"))
+            episode = parse_segment_file(path.read_bytes())
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
         except InvariantError as exc:
@@ -289,7 +290,7 @@ def load_dataset(
             continue
         parsed[episode.key] = episode
 
-    ratings = parse_ratings_csv(Path(ratings_file).read_text("utf-8"))
+    ratings = parse_ratings_csv(Path(ratings_file).read_bytes())
 
     episodes: list[EpisodeGraph] = []
     manifest = DatasetManifest()

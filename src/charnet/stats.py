@@ -103,26 +103,31 @@ def rank_with_ties(values) -> RankVector:
     return RankVector(values=data, ranks=ranks)
 
 
-def _centered_ranks(values, what: str) -> list[float]:
-    ranks = rank_with_ties(values).ranks
-    mean = sum(ranks) / len(ranks)
-    centered = [r - mean for r in ranks]
-    if all(c == 0.0 for c in centered):
-        raise DegenerateInputError(f"{what} is constant")
-    return centered
-
-
-def spearman_rho(x, y) -> float:
-    """Pearson correlation of the two average-rank vectors."""
+def _paired(x, y) -> tuple[list[float], list[float]]:
+    """Check a pair of columns and return both centered rank vectors."""
     if len(x) != len(y):
         raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise DegenerateInputError(f"need at least 3 pairs, got {len(x)}")
-    cx = _centered_ranks(x, "x")
-    cy = _centered_ranks(y, "y")
+    centered = []
+    for values, what in ((x, "x"), (y, "y")):
+        ranks = rank_with_ties(values).ranks
+        mean = sum(ranks) / len(ranks)
+        centered.append([r - mean for r in ranks])
+        if all(c == 0.0 for c in centered[-1]):
+            raise DegenerateInputError(f"{what} is constant")
+    return centered[0], centered[1]
+
+
+def _rho(cx: list[float], cy: list[float]) -> float:
     dot = sum(a * b for a, b in zip(cx, cy))
     rho = dot / math.sqrt(sum(a * a for a in cx) * sum(b * b for b in cy))
     return max(-1.0, min(1.0, rho))
+
+
+def spearman_rho(x, y) -> float:
+    """Pearson correlation of the two average-rank vectors."""
+    return _rho(*_paired(x, y))
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -203,32 +208,35 @@ def spearman_pvalue(rho: float, n: int) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t_squared))
 
 
-def permutation_pvalue(x, y, iterations: int, rng_seed: int) -> float:
-    """Share of seeded permutations of y at least as extreme as observed.
+def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]:
+    """Seeded permutation p-values of every centered column against cy.
 
-    Add-one smoothing on both sides keeps the estimate away from 0.
-    Permuting y permutes its rank vector, so only rank dot products are
-    recomputed per iteration.
+    One shuffle stream of cy serves all columns, so each value equals the
+    one a lone column gets from the same seed.  Permuting y permutes its
+    rank vector, so only rank dot products are recomputed per shuffle.
+    Add-one smoothing on both sides keeps the estimates away from 0.
     """
     if iterations < 1000:
         raise DomainError(f"permutation test needs >= 1000 iterations, got {iterations}")
-    if len(x) != len(y):
-        raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 3:
-        raise DegenerateInputError(f"need at least 3 pairs, got {len(x)}")
-    cx = _centered_ranks(x, "x")
-    cy = _centered_ranks(y, "y")
-    observed = abs(sum(a * b for a, b in zip(cx, cy)))
-    threshold = observed - 1e-9 * max(1.0, observed)
-    rng = random.Random(rng_seed)
+    observed = [abs(sum(a * b for a, b in zip(cx, cy))) for cx in columns]
+    thresholds = [o - 1e-9 * max(1.0, o) for o in observed]
+    rng = random.Random(seed)
     shuffled = list(cy)
-    hits = 0
+    hits = [0] * len(columns)
     for _ in range(iterations):
         rng.shuffle(shuffled)
-        dot = sum(a * b for a, b in zip(cx, shuffled))
-        if abs(dot) >= threshold:
-            hits += 1
-    return (1 + hits) / (1 + iterations)
+        for i, cx in enumerate(columns):
+            if abs(sum(a * b for a, b in zip(cx, shuffled))) >= thresholds[i]:
+                hits[i] += 1
+    return [(1 + h) / (1 + iterations) for h in hits]
+
+
+def permutation_pvalue(x, y, iterations: int, rng_seed: int) -> float:
+    """Share of seeded permutations of y at least as extreme as observed."""
+    if iterations < 1000:  # reported ahead of any input error
+        raise DomainError(f"permutation test needs >= 1000 iterations, got {iterations}")
+    cx, cy = _paired(x, y)
+    return _permutation_pvalues([cx], cy, iterations, rng_seed)[0]
 
 
 def correlate_all(
@@ -252,44 +260,34 @@ def correlate_all(
 
     paired = [(row, ratings.get(row.key)) for row in sorted(rows, key=lambda r: r.key)]
     usable = [(row, review) for row, review in paired if review is not None]
-    excluded = len(paired) - len(usable)
-    if len(usable) < 4:
-        raise InsufficientDataError(
-            f"need at least 4 rated episodes, got {len(usable)}"
-        )
+    n = len(usable)
+    if n < 4:
+        raise InsufficientDataError(f"need at least 4 rated episodes, got {n}")
 
     reviews = [review for _, review in usable]
     report = CorrelationReport(
         series=series_names[0],
-        n=len(usable),
-        excluded=excluded,
+        n=n,
+        excluded=len(paired) - n,
         efficiency_mode=efficiency_mode,
         dedup_dropped=dedup_dropped,
     )
+    tested: list[CorrelationResult] = []
+    columns: list[list[float]] = []
     for column in METRICS:
         values = [float(getattr(row, column.attr)) for row, _ in usable]
         try:
-            rho = spearman_rho(values, reviews)
-            p = spearman_pvalue(rho, len(usable))
+            cx, cy = _paired(values, reviews)
         except DegenerateInputError as exc:
-            report.results.append(
-                CorrelationResult(
-                    metric_name=column.label,
-                    rho=None,
-                    p_value=None,
-                    n=len(usable),
-                    note=str(exc),
-                )
-            )
+            report.results.append(CorrelationResult(column.label, None, None, n, note=str(exc)))
             continue
-        result = CorrelationResult(
-            metric_name=column.label,
-            rho=rho,
-            p_value=p,
-            n=len(usable),
-            significance=significance_stars(p),
-        )
-        if permutations is not None:
-            result.permutation_p = permutation_pvalue(values, reviews, permutations, seed)
-        report.results.append(result)
+        rho = _rho(cx, cy)
+        p = spearman_pvalue(rho, n)
+        tested.append(CorrelationResult(column.label, rho, p, n, significance_stars(p)))
+        report.results.append(tested[-1])
+        columns.append(cx)
+    if permutations is not None and tested:  # cy is the same for every column
+        pvalues = _permutation_pvalues(columns, cy, permutations, seed)
+        for result, pvalue in zip(tested, pvalues):
+            result.permutation_p = pvalue
     return report

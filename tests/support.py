@@ -2,75 +2,24 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import random
+import sys
 from pathlib import Path
 
 from charnet.graph import EpisodeKey, SegmentGraph, add_interaction
-from charnet.ingest import RatingsTable, serialize_episode
-from charnet.metrics import METRICS, EpisodeMetrics
+from charnet.ingest import serialize_episode
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "reference"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
-SERIES = ("got", "hoc", "bb")
-
-# metric columns present in the reference per-episode tables (active_nodes is not)
-REFERENCE_COLUMNS = tuple(column.attr for column in METRICS[1:])
-
-
-def load_reference_metrics(
-    series: str, dedup: bool = True
-) -> tuple[list[EpisodeMetrics], RatingsTable]:
-    """Reference per-episode rows as EpisodeMetrics plus their review scores.
-
-    The got table repeats episode 1; dedup keeps the first occurrence the
-    same way the loader does.
-    """
-    rows: list[EpisodeMetrics] = []
-    ratings = RatingsTable()
-    seen: set[int] = set()
-    with open(DATA_DIR / f"{series}_metrics.csv", newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            episode = int(record["episode"])
-            if episode in seen:
-                if dedup:
-                    continue
-            seen.add(episode)
-            key = EpisodeKey(series, 1, episode)
-            rows.append(
-                EpisodeMetrics(
-                    key=key,
-                    ordinal=episode,
-                    active_nodes=0,  # column absent from the reference tables
-                    density=float(record["density"]),
-                    efficiency=float(record["efficiency"]),
-                    transitivity=float(record["transitivity"]),
-                    strength_max=float(record["strength_max"]),
-                    strength_std=float(record["strength_std"]),
-                    degree_max=int(record["degree_max"]),
-                    degree_std=float(record["degree_std"]),
-                    harmonic_max=float(record["harmonic_max"]),
-                    harmonic_std=float(record["harmonic_std"]),
-                    eigen_max=float(record["eigen_max"]),
-                    eigen_std=float(record["eigen_std"]),
-                )
-            )
-            ratings.ratings.setdefault(key, float(record["review"]))
-    return rows, ratings
-
-
-def load_reference_correlations() -> dict[tuple[str, str], tuple[float, float, str]]:
-    """(series, metric attr) -> (rho, p, stars) as printed in the reference table."""
-    out: dict[tuple[str, str], tuple[float, float, str]] = {}
-    with open(DATA_DIR / "reference_correlations.csv", newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            out[(record["series"], record["metric"])] = (
-                float(record["rho"]),
-                float(record["p"]),
-                record["stars"],
-            )
-    return out
+# the shipped reproduction script owns the reference tables and their loaders
+from reproduce_correlations import (  # noqa: E402
+    COLUMNS as REFERENCE_COLUMNS,
+    DATA_DIR,
+    SERIES,
+    load_reference as load_reference_correlations,
+    load_series as load_reference_metrics,
+)
 
 
 CAST = [

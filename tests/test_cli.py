@@ -97,6 +97,32 @@ class TestValidate:
         assert code == 2
         assert "no episode files found" in capsys.readouterr().err
 
+    def test_undecodable_episode_exits_two(self, clean_dataset, tmp_path):
+        segments = tmp_path / "segments"
+        segments.mkdir()
+        (segments / "latin1.json").write_bytes(
+            b'{"series": "Se\xf1or", "season": 1, "episode": 1, "segments": []}'
+        )
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "charnet",
+                "validate",
+                "--segments",
+                str(segments),
+                "--ratings",
+                str(clean_dataset[1]),
+                "--out",
+                str(tmp_path / "out"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "not valid UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestMetrics:
     def test_writes_per_series_tables(self, clean_dataset, tmp_path, capsys):

@@ -115,6 +115,9 @@ class TestParseSegmentFile:
             {"segments": [{"index": 0, "edges": [{"a": 1, "b": "B", "w": 1.0}]}]},
             {"segments": [{"index": 0, "nodes": [3], "edges": []}]},
             {"segments": ["nope"]},
+            {"segments": [{"index": 0, "nodes": "Jon", "edges": []}]},
+            {"segments": [{"index": 0, "nodes": 5, "edges": []}]},
+            {"segments": [{"index": 0, "nodes": {"Jon": 1}, "edges": []}]},
         ],
     )
     def test_format_violations(self, overrides):
@@ -192,6 +195,10 @@ class TestParseRatingsCsv:
 
     def test_crlf_and_whitespace(self):
         table = parse_ratings_csv("series,season,episode,rating\r\n got , 1 , 2 , 8.5 \r\n")
+        assert table.get(EpisodeKey("got", 1, 2)) == 8.5
+
+    def test_byte_order_mark_skipped(self):
+        table = parse_ratings_csv(b"\xef\xbb\xbfseries,season,episode,rating\ngot,1,2,8.5\n")
         assert table.get(EpisodeKey("got", 1, 2)) == 8.5
 
     def test_header_required(self):

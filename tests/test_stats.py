@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charnet import stats
 from charnet.errors import (
     DegenerateInputError,
     DomainError,
@@ -321,6 +323,23 @@ def _demo_ratings() -> RatingsTable:
     return table
 
 
+def _tied_column(n: int, top: int):
+    return st.lists(st.integers(0, top), min_size=n, max_size=n)
+
+
+def _assert_rows_match_standalone(rows, ratings, permutations, seed):
+    """Every tested row's permutation p equals a lone call with the same seed."""
+    report = correlate_all(rows, ratings, permutations=permutations, seed=seed)
+    usable = [row for row in sorted(rows, key=lambda r: r.key) if row.key in ratings]
+    reviews = [ratings.get(row.key) for row in usable]
+    for column, result in zip(METRICS, report.results):
+        if result.rho is None:
+            assert result.permutation_p is None
+            continue
+        values = [float(getattr(row, column.attr)) for row in usable]
+        assert result.permutation_p == permutation_pvalue(values, reviews, permutations, seed)
+
+
 class TestCorrelateAll:
     def test_report_shape_and_order(self):
         report = correlate_all(_demo_rows(), _demo_ratings())
@@ -369,6 +388,55 @@ class TestCorrelateAll:
             _demo_rows(), _demo_ratings(), permutations=1000, seed=7
         )
         assert report == again
+
+    def test_permutation_rows_equal_standalone_calls(self):
+        _assert_rows_match_standalone(_demo_rows(), _demo_ratings(), 1000, 7)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(5, 9).flatmap(
+            lambda n: st.tuples(
+                st.lists(_tied_column(n, 3), min_size=12, max_size=12),
+                _tied_column(n, 4),
+            )
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_permutation_rows_equal_standalone_calls_with_ties(self, drawn, seed):
+        columns, reviews = drawn
+        rows, ratings = [], RatingsTable()
+        for i, review in enumerate(reviews):
+            key = EpisodeKey("ties", 1, i + 1)
+            cells = {c.attr: column[i] for c, column in zip(METRICS, columns)}
+            rows.append(EpisodeMetrics(key=key, **cells))
+            ratings.ratings[key] = float(review)
+        _assert_rows_match_standalone(rows, ratings, 1000, seed)
+
+    def test_constant_reviews_flag_every_row(self):
+        ratings = RatingsTable({key: 7.5 for key in _demo_ratings().ratings})
+        report = correlate_all(_demo_rows(), ratings, permutations=1000, seed=7)
+        assert len(report.results) == 12
+        for result in report.results:
+            assert result.rho is None and result.p_value is None
+            assert result.permutation_p is None
+            expected = "x is constant" if result.metric_name == "Active Nodes" else "y is constant"
+            assert result.note == expected
+
+    def test_one_shuffle_stream_per_series(self, monkeypatch):
+        shuffles = []
+
+        class CountingRandom(random.Random):
+            def shuffle(self, x):
+                shuffles.append(len(x))
+                super().shuffle(x)
+
+        monkeypatch.setattr(stats, "random", SimpleNamespace(Random=CountingRandom))
+        correlate_all(_demo_rows(), _demo_ratings(), permutations=1000, seed=7)
+        assert len(shuffles) == 1000
+
+    def test_permutation_floor_applies_to_tested_rows(self):
+        with pytest.raises(DomainError):
+            correlate_all(_demo_rows(), _demo_ratings(), permutations=999)
 
     def test_mixed_series_rejected(self):
         rows = _demo_rows()
