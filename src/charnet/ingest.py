@@ -126,6 +126,10 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal too long to convert
+        raise FormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nested too deeply") from exc
 
     series = _text(_require(doc, "series", "episode file"), "series", "episode file").strip()
     if not series:

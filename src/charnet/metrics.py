@@ -15,6 +15,7 @@ order, so it is only identical across runs and hash seeds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -270,10 +271,10 @@ def eigenvector_vector(
     x = [1.0 / math.sqrt(n)] * n
     delta = math.inf
     for _ in range(max_iter):
-        y = [x[i] + sum(x[j] for j in neighbors[i]) for i in range(n)]
-        norm = math.sqrt(sum(v * v for v in y))
+        y = [xi + sum(map(x.__getitem__, nb)) for xi, nb in zip(x, neighbors)]
+        norm = math.sqrt(sum(map(operator.mul, y, y)))
         y = [v / norm for v in y]
-        delta = max(abs(y[i] - x[i]) for i in range(n))
+        delta = max(map(abs, map(operator.sub, y, x)))
         x = y
         if delta < tol:
             return CentralityVector("eigenvector", dict(zip(position, x)))

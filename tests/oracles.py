@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -205,6 +206,23 @@ def exhaustive_permutation_pvalue(x, y) -> float:
         if abs(_rank_correlation(rx, list(perm))) >= observed - 1e-12:
             hits += 1
     return hits / count
+
+
+def permutation_pvalues_float(columns, cy, iterations: int, seed: int) -> list[float]:
+    """Seeded permutation p-values with one float rank dot product per column
+    per shuffle: the direct form of the library's packed-integer loop, with
+    the same shuffle stream, threshold and add-one smoothing."""
+    observed = [abs(sum(a * b for a, b in zip(cx, cy))) for cx in columns]
+    thresholds = [o - 1e-9 * max(1.0, o) for o in observed]
+    rng = random.Random(seed)
+    shuffled = list(cy)
+    hits = [0] * len(columns)
+    for _ in range(iterations):
+        rng.shuffle(shuffled)
+        for i, cx in enumerate(columns):
+            if abs(sum(a * b for a, b in zip(cx, shuffled))) >= thresholds[i]:
+                hits[i] += 1
+    return [(1 + h) / (1 + iterations) for h in hits]
 
 
 def random_edge_set(rng, min_nodes: int = 2, max_nodes: int = 8):

@@ -97,13 +97,10 @@ class TestValidate:
         assert code == 2
         assert "no episode files found" in capsys.readouterr().err
 
-    def test_undecodable_episode_exits_two(self, clean_dataset, tmp_path):
-        segments = tmp_path / "segments"
-        segments.mkdir()
-        (segments / "latin1.json").write_bytes(
-            b'{"series": "Se\xf1or", "season": 1, "episode": 1, "segments": []}'
-        )
-        result = subprocess.run(
+    @staticmethod
+    def _validate_in_child(segments, ratings, out):
+        """`charnet validate` in a fresh interpreter, so a crash shows as one."""
+        return subprocess.run(
             [
                 sys.executable,
                 "-m",
@@ -112,15 +109,38 @@ class TestValidate:
                 "--segments",
                 str(segments),
                 "--ratings",
-                str(clean_dataset[1]),
+                str(ratings),
                 "--out",
-                str(tmp_path / "out"),
+                str(out),
             ],
             capture_output=True,
             text=True,
         )
+
+    def test_undecodable_episode_exits_two(self, clean_dataset, tmp_path):
+        segments = tmp_path / "segments"
+        segments.mkdir()
+        (segments / "latin1.json").write_bytes(
+            b'{"series": "Se\xf1or", "season": 1, "episode": 1, "segments": []}'
+        )
+        result = self._validate_in_child(segments, clean_dataset[1], tmp_path / "out")
         assert result.returncode == 2
         assert "not valid UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_deeply_nested_episode_exits_two(self, clean_dataset, tmp_path):
+        segments = tmp_path / "segments"
+        segments.mkdir()
+        depth = 100_000
+        (segments / "deep.json").write_bytes(
+            b'{"series": "deep", "season": 1, "episode": 1, "segments": '
+            + b"[" * depth
+            + b"]" * depth
+            + b"}"
+        )
+        result = self._validate_in_child(segments, clean_dataset[1], tmp_path / "out")
+        assert result.returncode == 2
+        assert "JSON nested too deeply" in result.stderr
         assert "Traceback" not in result.stderr
 
 

@@ -146,6 +146,17 @@ class TestParseSegmentFile:
         with pytest.raises(FormatError, match="UTF-8"):
             parse_segment_file(b"\xff\xfe{}")
 
+    def test_deep_nesting(self):
+        depth = 100_000
+        with pytest.raises(FormatError, match="nested too deeply"):
+            parse_segment_file(minimal_file(segments=[]).replace("[]", "[" * depth + "]" * depth))
+
+    def test_integer_literal_too_long(self):
+        # json.loads refuses to convert an integer of more than 4300 digits
+        # with a plain ValueError, not a JSONDecodeError
+        with pytest.raises(FormatError, match="integer"):
+            parse_segment_file(minimal_file().replace('"season": 1', '"season": ' + "1" * 5000))
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=300))
@@ -168,6 +179,52 @@ def test_parser_totality_bytes(blob):
         parse_segment_file(blob)
     except CharnetError:
         pass
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_FIELD_NAMES = st.sampled_from(
+    ["series", "season", "episode", "segments", "index", "nodes", "edges", "a", "b", "w"]
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_FIELD_NAMES | st.text(max_size=3), inner, max_size=5),
+    max_leaves=25,
+)
+# Episode-shaped documents get past the header, so the segment, node and
+# edge checks see awkward values too; arbitrary values rarely get that far.
+_AWKWARD = st.sampled_from(
+    ["A", "B", " A ", "", "\n", 0, 1, -1, 2.5, -0.0, 1e308, True, None, [], {}]
+    + [float("nan"), float("inf"), float("-inf")]
+)
+_ANY = st.one_of(_AWKWARD, _JSON_VALUES)
+_EDGE = st.fixed_dictionaries({}, optional={key: _ANY for key in ("a", "b", "w")})
+_SEGMENT = st.fixed_dictionaries(
+    {},
+    optional={
+        "nodes": st.one_of(st.lists(st.one_of(_AWKWARD, st.text(max_size=3)), max_size=4), _ANY),
+        "edges": st.one_of(st.lists(_EDGE, max_size=4), _ANY),
+    },
+)
+_EPISODES = st.fixed_dictionaries(
+    {
+        "series": st.just("fuzz"),
+        "season": st.just(1),
+        "episode": st.just(1),
+        "segments": st.one_of(st.lists(_SEGMENT, min_size=1, max_size=4), _ANY),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_JSON_VALUES, _EPISODES))
+def test_parser_totality_json_values(doc):
+    text = json.dumps(doc)
+    for blob in (text, text.encode("utf-8")):
+        try:
+            parse_segment_file(blob)
+        except CharnetError:
+            pass
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,6 +297,15 @@ class TestParseRatingsCsv:
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=200))
 def test_ratings_totality(blob):
+    try:
+        parse_ratings_csv(blob)
+    except CharnetError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=200) | st.binary(max_size=200).map(lambda b: b"series,season,episode,rating\n" + b))
+def test_ratings_totality_bytes(blob):
     try:
         parse_ratings_csv(blob)
     except CharnetError:

@@ -8,7 +8,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charnet import stats
@@ -34,6 +34,7 @@ from charnet.stats import (
 
 from oracles import (
     exhaustive_permutation_pvalue,
+    permutation_pvalues_float,
     spearman_shortcut,
     t_two_tailed_quadrature,
 )
@@ -291,6 +292,67 @@ class TestPermutationPvalue:
             permutation_pvalue([1, 1, 1, 1], [1, 2, 3, 4], 1000, 0)
 
 
+def _tied_column(n: int, top: int):
+    return st.lists(st.integers(0, top), min_size=n, max_size=n)
+
+
+class TestPackedPermutationLoop:
+    """The integer loop against the float loop it replaced, bit for bit."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.tuples(st.integers(4, 200), st.integers(1, 3)).flatmap(
+            lambda shape: st.tuples(
+                st.lists(_tied_column(*shape), min_size=1, max_size=2),
+                _tied_column(*shape),
+            )
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_equals_float_oracle_on_ties(self, drawn, seed):
+        # top 1 makes both sides binary: |dot| takes few values, so many
+        # shuffles tie the observed one exactly and meet the >= boundary
+        drawn_columns, reviews = drawn
+        columns = []
+        for values in drawn_columns + [reviews, [-r for r in reviews]]:  # rho = +1, -1
+            try:
+                cx, cy = stats._paired(values, reviews)
+            except DegenerateInputError:
+                continue
+            columns.append(cx)
+        assume(columns)
+        packed = stats._permutation_pvalues(columns, cy, 1000, seed)
+        assert packed == permutation_pvalues_float(columns, cy, 1000, seed)
+        assert packed[-2] == packed[-1]  # rho = +1 and -1 have the same |dot|
+
+    def test_threshold_cut_at_large_n(self, monkeypatch):
+        # At n = 1500, 1e-9 * |observed dot| exceeds 1/4, so a shuffle whose
+        # dot lies exactly 1/4 below the observed one still counts as a hit.
+        # A stand-in shuffle applies two swaps that move the dot by -1/4;
+        # applying them again restores y, so the dots alternate o - 1/4, o.
+        x = [3, 0, 3, 1, 4, 5] + list(range(10, 1504))
+        y = [0, 5, 1, 0, 3, 5] + list(range(10, 1504))
+        cx, cy = stats._paired(x, y)
+
+        def swap(v):
+            v[1], v[4] = v[4], v[1]
+            v[2], v[5] = v[5], v[2]
+
+        observed = abs(sum(a * b for a, b in zip(cx, cy)))
+        near = list(cy)
+        swap(near)
+        assert abs(sum(a * b for a, b in zip(cx, near))) == observed - 0.25
+        assert 1e-9 * observed > 0.25
+
+        class TwoSwaps(random.Random):
+            def shuffle(self, v):
+                swap(v)
+
+        monkeypatch.setattr(random, "Random", TwoSwaps)
+        packed = stats._permutation_pvalues([cx], cy, 1000, 0)
+        assert packed == permutation_pvalues_float([cx], cy, 1000, 0) == [1.0]
+
+
 def _demo_rows() -> list[EpisodeMetrics]:
     rng = random.Random(11)
     rows = []
@@ -321,10 +383,6 @@ def _demo_ratings() -> RatingsTable:
     for i in range(1, 9):
         table.ratings[EpisodeKey("demo", 1, i)] = float(i)
     return table
-
-
-def _tied_column(n: int, top: int):
-    return st.lists(st.integers(0, top), min_size=n, max_size=n)
 
 
 def _assert_rows_match_standalone(rows, ratings, permutations, seed):
