@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages: validate, metrics, correlate,
-plot, and all.  Exit codes: 0 clean, 1 finished with warnings, 2 errors.
+plot, and all.  Exit codes: 0 clean, 1 finished with warnings, 2 errors,
+3 internal error (a bug: the traceback goes to stderr).
 No network access, ever; ratings come from a local CSV.
 """
 
@@ -311,6 +312,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, never bad input: keep it apart from codes 1 and 2
+        import traceback  # only here: importing it costs every launch a few ms
+
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

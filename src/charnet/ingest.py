@@ -110,6 +110,13 @@ def _text(value, what: str, where: str) -> str:
     return value
 
 
+def _encodable(text: str, what: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"episode file: {what} {text!r} is not encodable as UTF-8") from exc
+
+
 def parse_segment_file(data: bytes | str) -> ParsedEpisode:
     """Parse one episode file into its segment graphs.
 
@@ -183,6 +190,10 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
 
     if not segments:
         raise FormatError("episode file: segments list is empty")
+    # JSON escapes can decode to lone surrogates, which no report could write
+    _encodable(series, "series")
+    for name in set().union(*(seg.nodes for seg in segments)):
+        _encodable(name, "character name")
     return ParsedEpisode(key=key, segments=segments, warnings=warnings)
 
 

@@ -10,6 +10,14 @@ through math.fsum.  So mathematically equal values are equal floats, and
 renaming characters changes nothing.  Eigenvector centrality is the
 exception: power iteration stops within its tolerance, in sorted node
 order, so it is only identical across runs and hash seeds.
+
+Each episode's active nodes are indexed once (_Index), with neighbor sets
+as int bitsets, and one all-sources traversal (_hop_counts) gives every
+node its integer histogram of hop distances: all balls grow together, one
+hop per round, and the popcount of a ball's new bits counts the nodes at
+that distance.  Harmonic centrality reads a node's histogram; component-
+mean efficiency pools its members' histograms; neighborhood efficiency
+runs the same traversal masked to each neighborhood.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import zip_longest
 
 from .errors import (
     CharnetError,
@@ -25,7 +35,8 @@ from .errors import (
     EmptyVectorError,
     NoEdgesError,
 )
-from .graph import CharacterId, EpisodeGraph, EpisodeKey, connected_components
+from .graph import CharacterId, EpisodeGraph, EpisodeKey
+from .graph import connected_components  # noqa: F401  (perfbench/tracer.py wraps metrics.connected_components)
 
 
 @dataclass(frozen=True)
@@ -124,16 +135,24 @@ def node_strengths(graph) -> CentralityVector:
     )
 
 
-def _index(graph) -> tuple[dict[CharacterId, int], list[int]]:
-    """The active nodes in sorted order, each mapped to its bit position, and
-    per position the neighbors as an int bitset (bit j set: edge to node j)."""
-    position = {v: i for i, v in enumerate(sorted(active_node_set(graph)))}
-    nbr = [0] * len(position)
-    for a, b in graph.edges:
-        i, j = position[a], position[b]
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
-    return position, nbr
+class _Index:
+    """An episode's active nodes in sorted order, each mapped to its bit
+    position, and per position the neighbors as an int bitset (bit j set:
+    edge to node j).  Built once per episode and shared by every topology
+    metric; the all-sources hop histogram is computed on first use."""
+
+    def __init__(self, graph) -> None:
+        self.position = {v: i for i, v in enumerate(sorted(active_node_set(graph)))}
+        self.nbr = [0] * len(self.position)
+        for a, b in graph.edges:
+            i, j = self.position[a], self.position[b]
+            self.nbr[i] |= 1 << j
+            self.nbr[j] |= 1 << i
+
+    @cached_property
+    def hops(self) -> tuple[list[int], list[list[int]]]:
+        """_hop_counts over the whole graph, one entry per position."""
+        return _hop_counts(self.nbr, (1 << len(self.nbr)) - 1)
 
 
 def _bits(mask: int) -> list[int]:
@@ -146,42 +165,58 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _reciprocal_sum(nbr: list[int], sources: int, within: int) -> float:
-    """Sum of 1 / hop distance from every node of `sources` to every other
-    node it reaches by paths that stay inside `within`.
+def _hop_counts(nbr: list[int], within: int) -> tuple[list[int], list[list[int]]]:
+    """For every node of `within`, in ascending order: the nodes it reaches
+    by paths that stay inside `within` (its component there, as a bitset),
+    and its distance histogram, counts[k - 1] = nodes exactly k hops away.
 
-    One BFS per source with a bitset frontier.  Pairs are counted per hop as
-    integers and only the final sum is rounded, so the result is the exact
-    value correctly rounded: it depends on the distance histogram alone,
-    never on node names or visiting order.
+    Every source expands at once, one hop per round (bit-parallel BFS, as in
+    Akiba, Iwata & Yoshida, SIGMOD 2013): a node's ball of radius k is the
+    OR of its own ball and its neighbors' balls of radius k - 1, and the
+    popcount of the new bits is its count at distance k.  A round reads
+    only the previous round's balls; updating them in place would let a
+    ball grow by more than one hop per round.  A node whose ball stops
+    growing holds its whole component and drops out.  Work and memory grow
+    with the nodes and edges inside `within`, not with the whole graph.
     """
-    counts: list[int] = []  # counts[k - 1]: (source, node) pairs k hops apart
-    for source in _bits(sources):
-        reached = frontier = 1 << source
-        hop = 0
-        while True:
-            step = 0
-            for u in _bits(frontier):
-                step |= nbr[u]
-            frontier = step & within & ~reached
-            if not frontier:
-                break
-            reached |= frontier
-            if hop == len(counts):
-                counts.append(0)
-            counts[hop] += frontier.bit_count()
-            hop += 1
+    balls: dict[int, int] = {}
+    around: dict[int, list[int]] = {}
+    counts: dict[int, list[int]] = {}
+    for v in _bits(within):
+        inner = nbr[v] & within
+        balls[v] = inner | 1 << v  # radius 1
+        counts[v] = []
+        if inner:
+            around[v] = _bits(inner)
+            counts[v].append(len(around[v]))
+    growing = around
+    while growing:
+        grown = {}
+        for v in growing:
+            ball = old = balls[v]
+            for u in around[v]:
+                ball |= balls[u]
+            if ball != old:
+                grown[v] = ball
+                counts[v].append((ball ^ old).bit_count())
+        balls.update(grown)
+        growing = grown
+    return list(balls.values()), list(counts.values())
+
+
+def _reciprocal(counts: list[int]) -> float:
+    """Sum over k of counts[k - 1] / k, added as exact integers and rounded
+    once, so it depends on the histogram alone, never on visiting order."""
     scale = math.lcm(*range(1, len(counts) + 1))
     return sum(c * (scale // k) for k, c in enumerate(counts, 1)) / scale
 
 
-def _efficiency(nbr: list[int], mask: int) -> float:
-    """Mean reciprocal hop distance over ordered node pairs of the subgraph
-    induced by mask; 0 below 2 nodes."""
-    n = mask.bit_count()
-    if n < 2:
-        return 0.0
-    return _reciprocal_sum(nbr, mask, mask) / (n * (n - 1))
+def _efficiency(n: int, histograms) -> float:
+    """Mean reciprocal hop distance over the ordered pairs of n >= 2 nodes,
+    given each node's distance histogram: the histograms are added as
+    integers and rounded once."""
+    pooled = [sum(column) for column in zip_longest(*histograms, fillvalue=0)]
+    return _reciprocal(pooled) / (n * (n - 1))
 
 
 def global_efficiency(graph) -> float:
@@ -189,9 +224,31 @@ def global_efficiency(graph) -> float:
     n = len(graph.nodes)
     if n < 2:
         return 0.0
-    _, nbr = _index(graph)
-    everyone = (1 << len(nbr)) - 1
-    return _reciprocal_sum(nbr, everyone, everyone) / (n * (n - 1))
+    return _efficiency(n, _Index(graph).hops[1])
+
+
+def _efficiency_column(index: _Index, mode: str) -> float:
+    if mode == "component-mean":
+        # an active node's reach is its component, which has >= 2 nodes
+        parts: dict[int, list[list[int]]] = {}
+        for reach, counts in zip(*index.hops):
+            parts.setdefault(reach, []).append(counts)
+        if not parts:
+            raise DegenerateGraphError("no connected component has 2 or more nodes")
+        values = [_efficiency(reach.bit_count(), part) for reach, part in parts.items()]
+    elif mode == "neighborhood":
+        nbr = index.nbr
+        if not nbr:
+            raise DegenerateGraphError("no active nodes")
+        values = [
+            _efficiency(mask.bit_count(), _hop_counts(nbr, mask)[1])
+            if mask.bit_count() >= 2
+            else 0.0
+            for mask in nbr
+        ]
+    else:
+        raise ValueError(f"unknown efficiency mode {mode!r}")
+    return math.fsum(values) / len(values)
 
 
 def efficiency_metric(graph, mode: str = "component-mean") -> float:
@@ -201,25 +258,11 @@ def efficiency_metric(graph, mode: str = "component-mean") -> float:
     components with >= 2 nodes.  neighborhood: mean over active nodes of
     the efficiency of the subgraph induced by each node's neighbors.
     """
-    if mode == "component-mean":
-        parts = [part for part in connected_components(graph) if len(part) >= 2]
-        if not parts:
-            raise DegenerateGraphError("no connected component has 2 or more nodes")
-        position, nbr = _index(graph)
-        masks = [sum(1 << position[v] for v in part) for part in parts]
-    elif mode == "neighborhood":
-        _, nbr = _index(graph)
-        if not nbr:
-            raise DegenerateGraphError("no active nodes")
-        masks = nbr
-    else:
-        raise ValueError(f"unknown efficiency mode {mode!r}")
-    return math.fsum(_efficiency(nbr, mask) for mask in masks) / len(masks)
+    return _efficiency_column(_Index(graph), mode)
 
 
-def transitivity(graph) -> float:
-    """3 x triangles / triads; a triad is a 2-path centered at a node."""
-    position, nbr = _index(graph)
+def _transitivity(graph, index: _Index) -> float:
+    position, nbr = index.position, index.nbr
     triads = sum(d * (d - 1) // 2 for d in (mask.bit_count() for mask in nbr))
     if triads == 0:
         return 0.0
@@ -230,11 +273,25 @@ def transitivity(graph) -> float:
     return triangle_paths / triads
 
 
+def transitivity(graph) -> float:
+    """3 x triangles / triads; a triad is a 2-path centered at a node."""
+    return _transitivity(graph, _Index(graph))
+
+
+def _degree_vector(index: _Index) -> CentralityVector:
+    return CentralityVector(
+        "degree", {v: float(index.nbr[i].bit_count()) for v, i in index.position.items()}
+    )
+
+
 def degree_vector(graph) -> CentralityVector:
     """Unweighted edge count per active node."""
-    position, nbr = _index(graph)
+    return _degree_vector(_Index(graph))
+
+
+def _harmonic_vector(index: _Index) -> CentralityVector:
     return CentralityVector(
-        "degree", {v: float(nbr[i].bit_count()) for v, i in position.items()}
+        "harmonic", dict(zip(index.position, map(_reciprocal, index.hops[1])))
     )
 
 
@@ -243,11 +300,28 @@ def harmonic_vector(graph) -> CentralityVector:
 
     Unreachable pairs contribute 0; no normalization by n - 1.
     """
-    position, nbr = _index(graph)
-    everyone = (1 << len(nbr)) - 1
-    return CentralityVector(
-        "harmonic",
-        {v: _reciprocal_sum(nbr, 1 << i, everyone) for v, i in position.items()},
+    return _harmonic_vector(_Index(graph))
+
+
+def _eigenvector_vector(index: _Index, tol: float, max_iter: int) -> CentralityVector:
+    nbr = index.nbr
+    if not nbr:
+        raise NoEdgesError("eigenvector centrality needs at least one edge")
+    neighbors = [_bits(mask) for mask in nbr]
+
+    n = len(nbr)
+    x = [1.0 / math.sqrt(n)] * n
+    delta = math.inf
+    for _ in range(max_iter):
+        y = [xi + sum(map(x.__getitem__, nb)) for xi, nb in zip(x, neighbors)]
+        norm = math.sqrt(sum(map(operator.mul, y, y)))
+        y = [v / norm for v in y]
+        delta = max(map(abs, map(operator.sub, y, x)))
+        x = y
+        if delta < tol:
+            return CentralityVector("eigenvector", dict(zip(index.position, x)))
+    raise ConvergenceError(
+        f"power iteration missed tol={tol:g} after {max_iter} iterations (last delta {delta:.3e})"
     )
 
 
@@ -262,25 +336,7 @@ def eigenvector_vector(
     the eigenvectors unchanged but keeps bipartite graphs, whose extreme
     eigenvalues tie in magnitude, from oscillating forever.
     """
-    if not graph.edges:
-        raise NoEdgesError("eigenvector centrality needs at least one edge")
-    position, nbr = _index(graph)
-    neighbors = [_bits(mask) for mask in nbr]
-
-    n = len(nbr)
-    x = [1.0 / math.sqrt(n)] * n
-    delta = math.inf
-    for _ in range(max_iter):
-        y = [xi + sum(map(x.__getitem__, nb)) for xi, nb in zip(x, neighbors)]
-        norm = math.sqrt(sum(map(operator.mul, y, y)))
-        y = [v / norm for v in y]
-        delta = max(map(abs, map(operator.sub, y, x)))
-        x = y
-        if delta < tol:
-            return CentralityVector("eigenvector", dict(zip(position, x)))
-    raise ConvergenceError(
-        f"power iteration missed tol={tol:g} after {max_iter} iterations (last delta {delta:.3e})"
-    )
+    return _eigenvector_vector(_Index(graph), tol, max_iter)
 
 
 def summarize(vec: CentralityVector) -> tuple[float, float]:
@@ -313,24 +369,25 @@ def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = 
             row.warnings.append(f"{name}: {exc}")
             return fallback
 
+    index = _Index(graph)
     row.density = guarded("density", lambda: density(graph), 0.0)
     row.efficiency = guarded(
-        "efficiency", lambda: efficiency_metric(graph, config.efficiency_mode), 0.0
+        "efficiency", lambda: _efficiency_column(index, config.efficiency_mode), 0.0
     )
-    row.transitivity = transitivity(graph)
+    row.transitivity = _transitivity(graph, index)
     row.strength_max, row.strength_std = guarded(
         "strength", lambda: summarize(node_strengths(graph)), (0.0, 0.0)
     )
     degree_max, row.degree_std = guarded(
-        "degree", lambda: summarize(degree_vector(graph)), (0.0, 0.0)
+        "degree", lambda: summarize(_degree_vector(index)), (0.0, 0.0)
     )
     row.degree_max = int(degree_max)
     row.harmonic_max, row.harmonic_std = guarded(
-        "harmonic", lambda: summarize(harmonic_vector(graph)), (0.0, 0.0)
+        "harmonic", lambda: summarize(_harmonic_vector(index)), (0.0, 0.0)
     )
     row.eigen_max, row.eigen_std = guarded(
         "eigenvector",
-        lambda: summarize(eigenvector_vector(graph, config.eigen_tol, config.eigen_max_iter)),
+        lambda: summarize(_eigenvector_vector(index, config.eigen_tol, config.eigen_max_iter)),
         (0.0, 0.0),
     )
     return row

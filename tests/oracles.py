@@ -95,6 +95,33 @@ def exact_harmonic(nodes, edges) -> dict[str, float]:
     return out
 
 
+def exact_efficiency(edges, mode: str) -> float:
+    """The Efficiency column from Floyd-Warshall distances.  Per subgraph,
+    the reciprocal distances of its ordered pairs are added in exact
+    rationals and rounded once, then divided by the pair count; the mean
+    over subgraphs is a math.fsum.  The subgraphs are the connected
+    components with >= 2 nodes (component-mean) or the subgraphs induced by
+    each active node's neighbors (neighborhood, 0 below 2 nodes)."""
+    active = active_names(edges)
+    if mode == "component-mean":
+        dist = floyd_warshall(active, edges)
+        reach = {frozenset(v for v in active if dist[(u, v)] < math.inf) for u in active}
+        subgraphs = [part for part in reach if len(part) >= 2]
+    else:
+        subgraphs = [{v for e in edges if u in e for v in e if v != u} for u in active]
+    values = []
+    for nodes in subgraphs:
+        n = len(nodes)
+        if n < 2:
+            values.append(0.0)
+            continue
+        inner = [e for e in edges if e[0] in nodes and e[1] in nodes]
+        dist = floyd_warshall(nodes, inner)
+        total = sum(Fraction(1, int(d)) for (u, v), d in dist.items() if u != v and d < math.inf)
+        values.append(float(total) / (n * (n - 1)))
+    return math.fsum(values) / len(values)
+
+
 def brute_global_efficiency(nodes, edges) -> float:
     names = sorted(nodes)
     if len(names) < 2:

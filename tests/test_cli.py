@@ -143,6 +143,78 @@ class TestValidate:
         assert "JSON nested too deeply" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_lone_surrogate_exits_two(self, clean_dataset, tmp_path):
+        segments = tmp_path / "segments"
+        segments.mkdir()
+        (segments / "surrogate.json").write_bytes(
+            b'{"series": "s\\ud800", "season": 1, "episode": 1, '
+            b'"segments": [{"edges": [{"a": "A", "b": "B", "w": 1.0}]}]}'
+        )
+        result = self._validate_in_child(segments, clean_dataset[1], tmp_path / "out")
+        assert result.returncode == 2
+        assert "not encodable as UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b'{"series": "Se\xf1or", "season": 1, "episode": 1, "segments": []}', id="not-utf8"),
+            pytest.param(
+                b'{"series": "deep", "season": 1, "episode": 1, "segments": '
+                + b"[" * 100_000
+                + b"]" * 100_000
+                + b"}",
+                id="deep-nesting",
+            ),
+            pytest.param(
+                b'{"series": "big", "season": ' + b"7" * 5000 + b', "episode": 1, "segments": []}',
+                id="5000-digit-integer",
+            ),
+            pytest.param(
+                b'{"series": "s", "season": 1, "episode": 1, "segments": [{"nodes": 5, "edges": []}]}',
+                id="nodes-not-a-list",
+            ),
+            pytest.param(
+                b'{"series": "s\\udc00", "season": 1, "episode": 1, '
+                b'"segments": [{"edges": [{"a": "A", "b": "B", "w": 1.0}]}]}',
+                id="lone-surrogate",
+            ),
+            pytest.param(
+                b'{"series": "s", "season": 1, "episode": 1, '
+                b'"segments": [{"edges": [{"a": "A", "b": "B", "w": -1}]}]}',
+                id="non-positive-weight",
+            ),
+            pytest.param(
+                b'{"series": "s", "season": 1, "episode": 1, '
+                b'"segments": [{"edges": [{"a": "A", "b": "A", "w": 1.0}]}]}',
+                id="self-loop",
+            ),
+            pytest.param(
+                b'{"series": "s", "season": 1, "segments": [{"edges": [{"a": "A", "b": "B", "w": 1.0}]}]}',
+                id="missing-key",
+            ),
+        ],
+    )
+    def test_malformed_corpus_never_crashes(self, clean_dataset, tmp_path, content):
+        segments = tmp_path / "segments"
+        segments.mkdir()
+        (segments / "case.json").write_bytes(content)
+        result = self._validate_in_child(segments, clean_dataset[1], tmp_path / "out")
+        assert result.returncode in (0, 1, 2)
+        assert "Traceback" not in result.stderr
+
+
+def test_internal_error_exits_three(clean_dataset, tmp_path, monkeypatch, capsys):
+    # a bug must not pass for "finished with warnings" (1) or bad input (2)
+    def broken(*args, **kwargs):
+        raise RuntimeError("metric stage broke")
+
+    monkeypatch.setattr(cli, "compute_episode_metrics", broken)
+    assert run_cli("metrics", clean_dataset, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError('metric stage broke')" in err
+    assert "Traceback" in err
+
 
 class TestMetrics:
     def test_writes_per_series_tables(self, clean_dataset, tmp_path, capsys):

@@ -146,6 +146,24 @@ class TestParseSegmentFile:
         with pytest.raises(FormatError, match="UTF-8"):
             parse_segment_file(b"\xff\xfe{}")
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"series": "s\ud800"},
+            {"segments": [{"index": 0, "nodes": ["J\udc00n"], "edges": [{"a": "A", "b": "B", "w": 1.0}]}]},
+            {"segments": [{"index": 0, "edges": [{"a": "A\ud800", "b": "B", "w": 1.0}]}]},
+        ],
+    )
+    def test_lone_surrogate(self, overrides):
+        # json.dumps writes the surrogate as a \uXXXX escape, which json.loads
+        # decodes back to a str that no UTF-8 report can hold
+        with pytest.raises(FormatError, match="not encodable as UTF-8"):
+            parse_segment_file(minimal_file(**overrides))
+
+    def test_surrogate_pair_escape_accepted(self):
+        parsed = parse_segment_file(minimal_file(series="s\U0001f600"))
+        assert parsed.key.series == "s\U0001f600"
+
     def test_deep_nesting(self):
         depth = 100_000
         with pytest.raises(FormatError, match="nested too deeply"):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charnet.errors import (
@@ -42,6 +43,7 @@ from oracles import (
     brute_harmonic,
     brute_transitivity,
     dense_dominant_eigen,
+    exact_efficiency,
     random_edge_set,
 )
 
@@ -214,6 +216,20 @@ class TestHarmonic:
     def test_path4_end(self):
         scores = harmonic_vector(graph_from(PATH4)).scores
         assert scores["A"] == pytest.approx(1.0 + 0.5 + 1.0 / 3.0)
+
+    def test_path6_exact(self):
+        # on a path, an all-sources round that updated balls in place would
+        # let a node read a neighbor's ball already grown this round and
+        # count far nodes one hop too close
+        names = "ABCDEF"
+        g = graph_from({(a, b): 1.0 for a, b in zip(names, names[1:])})
+        scores = harmonic_vector(g).scores
+        for i, v in enumerate(names):
+            exact = sum(Fraction(1, abs(i - j)) for j in range(len(names)) if j != i)
+            assert scores[v] == float(exact), v
+        pairs = sum(Fraction(2 * (len(names) - k), k) for k in range(1, len(names)))
+        assert efficiency_metric(g) == float(pairs) / 30
+        assert global_efficiency(g) == float(pairs) / 30
 
 
 class TestEigenvector:
@@ -402,6 +418,48 @@ def test_label_invariance(layout, rng):
             else:
                 expected = getattr(base, column.attr)
             assert getattr(other, column.attr) == expected, (mode, column.attr)
+
+
+# a connected graph whose per-node reciprocal sums, rounded one by one and
+# then added, miss the once-rounded pooled sum by an ulp
+_ULP_APART = [
+    ((6, 8), 1.0), ((1, 5), 1.0), ((5, 7), 1.0), ((3, 7), 1.0), ((6, 2), 1.0),
+    ((7, 0), 1.0), ((2, 7), 1.0), ((1, 2), 1.0), ((6, 0), 1.0), ((3, 0), 1.0),
+    ((7, 5), 1.0), ((6, 7), 1.0), ((3, 8), 1.0), ((4, 3), 1.0), ((4, 5), 1.0),
+    ((3, 5), 1.0), ((6, 5), 1.0), ((2, 8), 1.0),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_edges20, st.one_of(st.just([]), _edges20))
+@example(_ULP_APART, [])
+def test_efficiency_bit_equal_to_exact_oracle(layout, second):
+    # a second block on its own names keeps disconnected graphs common
+    g = _graph_from_layout(layout)
+    for (ia, ib), w in second:
+        add_interaction(g, f"Q{ia:02d}", f"Q{ib:02d}", w)
+    for mode in EFFICIENCY_MODES:
+        assert efficiency_metric(g, mode) == exact_efficiency(list(g.edges), mode), mode
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edges20)
+def test_episode_row_bit_equal_to_public_functions(layout):
+    # compute_episode_metrics shares one index and one traversal between
+    # columns; each column must still equal its public function bit for bit
+    g = _graph_from_layout(layout)
+    for mode in EFFICIENCY_MODES:
+        row = compute_episode_metrics(g, MetricsConfig(efficiency_mode=mode))
+        assert row.efficiency == efficiency_metric(g, mode), mode
+    assert row.active_nodes == active_nodes(g)
+    assert row.density == density(g)
+    assert row.transitivity == transitivity(g)
+    assert (row.strength_max, row.strength_std) == summarize(node_strengths(g))
+    degree_max, degree_std = summarize(degree_vector(g))
+    assert (row.degree_max, row.degree_std) == (int(degree_max), degree_std)
+    assert (row.harmonic_max, row.harmonic_std) == summarize(harmonic_vector(g))
+    assert (row.eigen_max, row.eigen_std) == summarize(eigenvector_vector(g))
+    assert row.warnings == []
 
 
 @settings(max_examples=80, deadline=None)
