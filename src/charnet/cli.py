@@ -9,12 +9,13 @@ No network access, ever; ratings come from a local CSV.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
     CharnetError,
+    DomainError,
     EmptyDatasetError,
     FormatError,
     InsufficientDataError,
@@ -22,11 +23,10 @@ from .errors import (
     UnknownSeriesError,
 )
 from .graph import EpisodeGraph
-from .ingest import DatasetManifest, RatingsTable, load_dataset
+from .ingest import load_dataset
 from .metrics import (
     EFFICIENCY_MODES,
     METRIC_BY_ATTR,
-    EpisodeMetrics,
     MetricsConfig,
     compute_episode_metrics,
 )
@@ -43,85 +43,36 @@ from .stats import correlate_all
 KNOWN_FORMATS = ("csv", "md", "svg")
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation, fully determining every output byte."""
-
-    segments_dir: Path
-    ratings_file: Path
-    out_dir: Path
-    efficiency_mode: str = "component-mean"
-    eigen_tol: float = 1e-10
-    eigen_max_iter: int = 10000
-    permutations: int | None = None
-    seed: int = 0
-    formats: tuple[str, ...] = KNOWN_FORMATS
-
-
-@dataclass
-class LoadedRun:
-    """Dataset plus computed metric rows for one invocation."""
-
-    episodes: list[EpisodeGraph]
-    ratings: RatingsTable
-    manifest: DatasetManifest
-    rows: list[EpisodeMetrics]
-
-    def series_names(self) -> list[str]:
-        return sorted({e.key.series for e in self.episodes})
-
-    def rows_for(self, series: str) -> list[EpisodeMetrics]:
-        return [row for row in self.rows if row.key.series == series]
-
-    def dedup_dropped(self, series: str) -> int:
-        return sum(
-            entry.duplicates_dropped
-            for entry in self.manifest.entries
-            if entry.key.series == series
+def _check_flags(args: argparse.Namespace) -> tuple[str, ...]:
+    """Reject bad flag values before any file is read; returns the --format list."""
+    formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
+    unknown = [f for f in formats if f not in KNOWN_FORMATS]
+    if unknown:
+        raise FormatError(
+            f"unknown output format(s): {', '.join(unknown)}; choose from {','.join(KNOWN_FORMATS)}"
         )
-
-    def warning_count(self) -> int:
-        return self.manifest.warning_count() + sum(len(r.warnings) for r in self.rows)
-
-
-def _check_paths(config: RunConfig) -> None:
-    if not config.segments_dir.is_dir():
-        raise FormatError(f"segments directory not found: {config.segments_dir}")
-    if not config.ratings_file.is_file():
-        raise FormatError(f"ratings file not found: {config.ratings_file}")
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    if not formats:
+        raise FormatError("at least one output format is required")
+    if not (math.isfinite(args.eigen_tol) and args.eigen_tol > 0):
+        raise DomainError(f"--eigen-tol must be a finite number > 0, got {args.eigen_tol:g}")
+    if args.eigen_max_iter < 1:
+        raise DomainError(f"--eigen-max-iter must be at least 1, got {args.eigen_max_iter}")
+    if args.permutations is not None and args.permutations < 1000:
+        raise DomainError(f"permutation test needs >= 1000 iterations, got {args.permutations}")
+    return formats
 
 
-def _dataset(config: RunConfig) -> tuple[list[EpisodeGraph], RatingsTable, DatasetManifest]:
-    _check_paths(config)
-    files = sorted(config.segments_dir.glob("*.json"))
-    if not files:
-        raise EmptyDatasetError(f"no episode files found in {config.segments_dir}")
-    return load_dataset(files, config.ratings_file)
-
-
-def _load_run(config: RunConfig) -> LoadedRun:
-    episodes, ratings, manifest = _dataset(config)
-    metrics_config = MetricsConfig(
-        efficiency_mode=config.efficiency_mode,
-        eigen_tol=config.eigen_tol,
-        eigen_max_iter=config.eigen_max_iter,
-    )
-    rows = [compute_episode_metrics(graph, metrics_config) for graph in episodes]
-    return LoadedRun(episodes=episodes, ratings=ratings, manifest=manifest, rows=rows)
-
-
-def _echo_lines(config: RunConfig) -> list[str]:
+def _echo_lines(args: argparse.Namespace) -> list[str]:
     # only settings that shape the numbers; paths stay out so output
     # trees are comparable across working directories
     lines = [
-        f"efficiency mode: {config.efficiency_mode}",
-        f"eigen tol: {config.eigen_tol:g}",
-        f"eigen max iterations: {config.eigen_max_iter}",
+        f"efficiency mode: {args.efficiency}",
+        f"eigen tol: {args.eigen_tol:g}",
+        f"eigen max iterations: {args.eigen_max_iter}",
         "std convention: population",
     ]
-    if config.permutations is not None:
-        lines.append(f"permutations: {config.permutations}, seed: {config.seed}")
+    if args.permutations is not None:
+        lines.append(f"permutations: {args.permutations}, seed: {args.seed}")
     return lines
 
 
@@ -130,97 +81,85 @@ def _write(path: Path, content: str) -> None:
     print(f"wrote {path}")
 
 
-def cmd_validate(config: RunConfig) -> int:
-    _, _, manifest = _dataset(config)
-    text = render_manifest(manifest)
-    _write(config.out_dir / "manifest.txt", text)
-    sys.stdout.write(text)
-    return 1 if manifest.warning_count() else 0
+def _run(args: argparse.Namespace) -> int:
+    """Load once, compute what the subcommand writes, write it in stage order."""
+    formats = _check_flags(args)
+    everything = args.command == "all"
+    if not args.segments.is_dir():
+        raise FormatError(f"segments directory not found: {args.segments}")
+    if not args.ratings.is_file():
+        raise FormatError(f"ratings file not found: {args.ratings}")
+    args.out.mkdir(parents=True, exist_ok=True)
+    files = sorted(args.segments.glob("*.json"))
+    if not files:
+        raise EmptyDatasetError(f"no episode files found in {args.segments}")
+    episodes, ratings, manifest = load_dataset(files, args.ratings)
 
+    if everything or args.command == "validate":
+        text = render_manifest(manifest)
+        _write(args.out / "manifest.txt", text)
+        if not everything:
+            sys.stdout.write(text)
+            return 1 if manifest.warning_count() else 0
 
-def cmd_metrics(config: RunConfig, run: LoadedRun | None = None) -> int:
-    run = run or _load_run(config)
-    echo = _echo_lines(config)
-    for series in run.series_names():
-        rows = run.rows_for(series)
-        if "csv" in config.formats:
-            _write(
-                config.out_dir / f"{series}_metrics.csv",
-                render_metrics_csv(rows, run.ratings, echo),
+    # episodes come sorted by key, so series and their rows are in key order
+    graphs_by_series: dict[str, list[EpisodeGraph]] = {}
+    for graph in episodes:
+        graphs_by_series.setdefault(graph.key.series, []).append(graph)
+    plots = []
+    if args.command == "plot":
+        column = METRIC_BY_ATTR.get(args.metric)
+        if column is None:
+            known = ", ".join(sorted(METRIC_BY_ATTR))
+            raise UnknownMetricError(f"unknown metric {args.metric!r}; known metrics: {known}")
+        if args.series not in graphs_by_series:
+            known = ", ".join(graphs_by_series)
+            raise UnknownSeriesError(f"unknown series {args.series!r}; dataset has: {known}")
+        plots = [(args.series, column)]
+    elif everything and "svg" in formats:
+        plots = [(s, METRIC_BY_ATTR[a]) for s in graphs_by_series for a in sorted(METRIC_BY_ATTR)]
+
+    config = MetricsConfig(args.efficiency, args.eigen_tol, args.eigen_max_iter)
+    rows_by_series = {
+        series: [compute_episode_metrics(graph, config) for graph in graphs]
+        for series, graphs in graphs_by_series.items()
+    }
+    echo = _echo_lines(args)
+    tables = [f for f in ("csv", "md") if f in formats]
+    if everything or args.command == "metrics":
+        render = {"csv": render_metrics_csv, "md": render_metrics_markdown}
+        for series, rows in rows_by_series.items():
+            for fmt in tables:
+                _write(args.out / f"{series}_metrics.{fmt}", render[fmt](rows, ratings, echo))
+    if everything or args.command == "correlate":
+        render = {"csv": render_correlations_csv, "md": render_correlations_markdown}
+        for series, rows in rows_by_series.items():
+            report = correlate_all(
+                rows,
+                ratings,
+                efficiency_mode=args.efficiency,
+                dedup_dropped=sum(
+                    e.duplicates_dropped for e in manifest.entries if e.key.series == series
+                ),
+                permutations=args.permutations,
+                seed=args.seed,
             )
-        if "md" in config.formats:
-            _write(
-                config.out_dir / f"{series}_metrics.md",
-                render_metrics_markdown(rows, run.ratings, echo),
-            )
-    return 1 if run.warning_count() else 0
+            for fmt in tables:
+                _write(args.out / f"{series}_correlations.{fmt}", render[fmt](report, echo))
+    # a plot is an SVG whatever --format says
+    for series, column in plots:
+        points = [
+            (float(getattr(row, column.attr)), ratings.get(row.key))
+            for row in rows_by_series[series]
+            if row.key in ratings
+        ]
+        if not points:
+            raise InsufficientDataError(f"no rated episodes to plot for {series!r}")
+        svg = render_scatter_svg(points, column.label, series, echo)
+        _write(args.out / f"{series}_{column.attr}_scatter.svg", svg)
 
-
-def cmd_correlate(config: RunConfig, run: LoadedRun | None = None) -> int:
-    run = run or _load_run(config)
-    echo = _echo_lines(config)
-    for series in run.series_names():
-        report = correlate_all(
-            run.rows_for(series),
-            run.ratings,
-            efficiency_mode=config.efficiency_mode,
-            dedup_dropped=run.dedup_dropped(series),
-            permutations=config.permutations,
-            seed=config.seed,
-        )
-        if "csv" in config.formats:
-            _write(
-                config.out_dir / f"{series}_correlations.csv",
-                render_correlations_csv(report, echo),
-            )
-        if "md" in config.formats:
-            _write(
-                config.out_dir / f"{series}_correlations.md",
-                render_correlations_markdown(report, echo),
-            )
-    return 1 if run.warning_count() else 0
-
-
-def _scatter_points(
-    run: LoadedRun, series: str, metric_attr: str
-) -> list[tuple[float, float]]:
-    points = []
-    for row in sorted(run.rows_for(series), key=lambda r: r.key):
-        review = run.ratings.get(row.key)
-        if review is not None:
-            points.append((float(getattr(row, metric_attr)), review))
-    return points
-
-
-def cmd_plot(config: RunConfig, metric: str, series: str, run: LoadedRun | None = None) -> int:
-    run = run or _load_run(config)
-    column = METRIC_BY_ATTR.get(metric)
-    if column is None:
-        known = ", ".join(sorted(METRIC_BY_ATTR))
-        raise UnknownMetricError(f"unknown metric {metric!r}; known metrics: {known}")
-    if series not in run.series_names():
-        known = ", ".join(run.series_names())
-        raise UnknownSeriesError(f"unknown series {series!r}; dataset has: {known}")
-    points = _scatter_points(run, series, column.attr)
-    if not points:
-        raise InsufficientDataError(f"no rated episodes to plot for {series!r}")
-    svg = render_scatter_svg(points, column.label, series, _echo_lines(config))
-    _write(config.out_dir / f"{series}_{column.attr}_scatter.svg", svg)
-    return 1 if run.warning_count() else 0
-
-
-def cmd_all(config: RunConfig) -> int:
-    run = _load_run(config)
-    _write(config.out_dir / "manifest.txt", render_manifest(run.manifest))
-    code = max(
-        cmd_metrics(config, run=run),
-        cmd_correlate(config, run=run),
-    )
-    if "svg" in config.formats:
-        for series in run.series_names():
-            for attr in sorted(METRIC_BY_ATTR):
-                code = max(code, cmd_plot(config, attr, series, run=run))
-    return max(code, 1 if run.warning_count() else 0)
+    row_warnings = sum(len(row.warnings) for rows in rows_by_series.values() for row in rows)
+    return 1 if manifest.warning_count() + row_warnings else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,13 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
             default="component-mean",
             help="efficiency column mode (default: component-mean)",
         )
-        cmd.add_argument("--eigen-tol", type=float, default=1e-10, help="power-iteration tolerance")
-        cmd.add_argument("--eigen-max-iter", type=int, default=10000, help="power-iteration cap")
+        cmd.add_argument("--eigen-tol", type=float, default=1e-10, help="power-iteration tolerance (finite, > 0)")
+        cmd.add_argument("--eigen-max-iter", type=int, default=10000, help="power-iteration cap (>= 1)")
         cmd.add_argument(
             "--permutations",
             type=int,
             default=None,
-            help="add a seeded permutation p-value cross-check with this many iterations",
+            help="add a seeded permutation p-value cross-check with this many iterations (>= 1000)",
         )
         cmd.add_argument("--seed", type=int, default=0, help="permutation test seed")
         cmd.add_argument(
@@ -270,46 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
-    unknown = [f for f in formats if f not in KNOWN_FORMATS]
-    if unknown:
-        raise FormatError(
-            f"unknown output format(s): {', '.join(unknown)}; choose from {','.join(KNOWN_FORMATS)}"
-        )
-    if not formats:
-        raise FormatError("at least one output format is required")
-    return RunConfig(
-        segments_dir=args.segments,
-        ratings_file=args.ratings,
-        out_dir=args.out,
-        efficiency_mode=args.efficiency,
-        eigen_tol=args.eigen_tol,
-        eigen_max_iter=args.eigen_max_iter,
-        permutations=args.permutations,
-        seed=args.seed,
-        formats=formats,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "metrics":
-            return cmd_metrics(config)
-        if args.command == "correlate":
-            return cmd_correlate(config)
-        if args.command == "plot":
-            return cmd_plot(config, args.metric, args.series)
-        return cmd_all(config)
-    except CharnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return _run(args)
+    except (CharnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, never bad input: keep it apart from codes 1 and 2

@@ -102,16 +102,17 @@ def add_interaction(graph, a: CharacterId, b: CharacterId, seconds: float):
 def aggregate_segments(segments: list[SegmentGraph], key: EpisodeKey) -> EpisodeGraph:
     """Sum segment edge weights into one episode graph.
 
-    Weights accumulate in segment order with each segment's edges visited
-    in canonical pair order, so the float sums are reproducible run to run.
+    A pair occurs once per segment at most, so each pair's weight is summed
+    in segment order whatever order a segment's edges are visited in, and
+    the float sums are reproducible run to run.
     """
     if not segments:
         raise EmptyEpisodeError(f"episode {key} has no segments")
     episode = EpisodeGraph(key=key, segment_count=len(segments))
     for segment in segments:
         episode.nodes.update(segment.nodes)
-        for pair in sorted(segment.edges):
-            episode.edges[pair] = episode.edges.get(pair, 0.0) + segment.edges[pair]
+        for pair, weight in segment.edges.items():
+            episode.edges[pair] = episode.edges.get(pair, 0.0) + weight
     return episode
 
 

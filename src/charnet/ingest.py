@@ -110,6 +110,14 @@ def _text(value, what: str, where: str) -> str:
     return value
 
 
+def _file_safe(series: str, where: str) -> None:
+    # report file names start with the series name: no path separators, no control characters
+    if any(ch in "/\\" or ord(ch) < 32 or 127 <= ord(ch) < 160 for ch in series):
+        raise FormatError(
+            f"{where}: series {series!r} must not contain '/', '\\' or control characters"
+        )
+
+
 def _encodable(text: str, what: str) -> None:
     try:
         text.encode("utf-8")
@@ -141,6 +149,7 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
     series = _text(_require(doc, "series", "episode file"), "series", "episode file").strip()
     if not series:
         raise FormatError("episode file: series must be a non-empty string")
+    _file_safe(series, "episode file")
     season = _positive_int(_require(doc, "season", "episode file"), "season", "episode file")
     episode = _positive_int(_require(doc, "episode", "episode file"), "episode", "episode file")
     key = EpisodeKey(series=series, season=season, episode=episode)
@@ -254,6 +263,7 @@ def parse_ratings_csv(data: bytes | str) -> RatingsTable:
         series_cell, season_cell, episode_cell, rating_cell = (cell.strip() for cell in row)
         if not series_cell:
             raise FormatError(f"ratings CSV line {number}: series is empty")
+        _file_safe(series_cell, f"ratings CSV line {number}")
         try:
             season = int(season_cell)
             episode = int(episode_cell)

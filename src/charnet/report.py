@@ -17,6 +17,7 @@ from .stats import CorrelationReport
 CSV_METRIC_ORDER = METRICS[1:] + (METRICS[0],)
 
 METRICS_CSV_HEADER = ["Episode", "Review"] + [column.header for column in CSV_METRIC_ORDER]
+CORRELATIONS_HEADER = ["Metric", "Correlation", "pValue", "Stars"]
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
@@ -43,46 +44,42 @@ def _metric_rows(rows: list[EpisodeMetrics], ratings: RatingsTable) -> list[list
     return rendered
 
 
+def _csv(header: list[str], rows: list[list[str]], notes: list[str]) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(cells) for cells in rows)
+    lines.extend(f"# {note}" for note in notes)
+    return "\n".join(lines) + "\n"
+
+
+def _markdown(header: list[str], rows: list[list[str]], notes: list[str]) -> str:
+    lines = ["| " + " | ".join(header) + " |", "|" + "|".join(["---"] * len(header)) + "|"]
+    lines.extend("| " + " | ".join(cells) + " |" for cells in rows)
+    lines.append("")
+    lines.extend(f"_{note}_" for note in notes)
+    return "\n".join(lines) + "\n"
+
+
 def render_metrics_csv(
     rows: list[EpisodeMetrics], ratings: RatingsTable, echo: list[str]
 ) -> str:
     """One CSV row per episode, fixed column order, 3-decimal reals."""
-    lines = [",".join(METRICS_CSV_HEADER)]
-    lines.extend(",".join(cells) for cells in _metric_rows(rows, ratings))
-    lines.extend(f"# {line}" for line in echo)
-    return "\n".join(lines) + "\n"
+    return _csv(METRICS_CSV_HEADER, _metric_rows(rows, ratings), echo)
 
 
 def render_metrics_markdown(
     rows: list[EpisodeMetrics], ratings: RatingsTable, echo: list[str]
 ) -> str:
     """Pipe-table mirror of the metrics CSV."""
-    lines = [
-        "| " + " | ".join(METRICS_CSV_HEADER) + " |",
-        "|" + "|".join(["---"] * len(METRICS_CSV_HEADER)) + "|",
-    ]
-    for cells in _metric_rows(rows, ratings):
-        lines.append("| " + " | ".join(cells) + " |")
-    lines.append("")
-    lines.extend(f"_{line}_" for line in echo)
-    return "\n".join(lines) + "\n"
+    return _markdown(METRICS_CSV_HEADER, _metric_rows(rows, ratings), echo)
 
 
 def _correlation_cells(report: CorrelationReport) -> list[list[str]]:
-    rendered = []
-    for result in report.results:
-        if result.rho is None or result.p_value is None:
-            rendered.append([result.metric_name, "", "", ""])
-        else:
-            rendered.append(
-                [
-                    result.metric_name,
-                    fmt_real(result.rho),
-                    fmt_real(result.p_value),
-                    result.significance,
-                ]
-            )
-    return rendered
+    return [
+        [r.metric_name, "", "", ""]
+        if r.rho is None or r.p_value is None
+        else [r.metric_name, fmt_real(r.rho), fmt_real(r.p_value), r.significance]
+        for r in report.results
+    ]
 
 
 def _correlation_footer(report: CorrelationReport, echo: list[str]) -> list[str]:
@@ -108,24 +105,17 @@ def _correlation_footer(report: CorrelationReport, echo: list[str]) -> list[str]
 
 
 def render_correlations_csv(report: CorrelationReport, echo: list[str] | None = None) -> str:
-    lines = ["Metric,Correlation,pValue,Stars"]
-    lines.extend(",".join(cells) for cells in _correlation_cells(report))
-    lines.extend(f"# {line}" for line in _correlation_footer(report, echo or []))
-    return "\n".join(lines) + "\n"
+    """One row per metric column; footer lines carry the sample and settings."""
+    notes = _correlation_footer(report, echo or [])
+    return _csv(CORRELATIONS_HEADER, _correlation_cells(report), notes)
 
 
 def render_correlations_markdown(
     report: CorrelationReport, echo: list[str] | None = None
 ) -> str:
-    lines = [
-        "| Metric | Correlation | pValue | Stars |",
-        "|---|---|---|---|",
-    ]
-    for cells in _correlation_cells(report):
-        lines.append("| " + " | ".join(cells) + " |")
-    lines.append("")
-    lines.extend(f"_{line}_" for line in _correlation_footer(report, echo or []))
-    return "\n".join(lines) + "\n"
+    """Pipe-table mirror of the correlations CSV."""
+    notes = _correlation_footer(report, echo or [])
+    return _markdown(CORRELATIONS_HEADER, _correlation_cells(report), notes)
 
 
 def _axis_range(values: list[float]) -> tuple[float, float]:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import charnet
 from charnet import cli
 from charnet.cli import main
 from charnet.graph import EpisodeKey
 from charnet.ingest import serialize_episode
+from charnet.metrics import METRIC_BY_ATTR
 from charnet.report import METRICS_CSV_HEADER
 
 from support import build_demo_dataset, build_messy_dataset, random_segments
@@ -98,14 +102,14 @@ class TestValidate:
         assert "no episode files found" in capsys.readouterr().err
 
     @staticmethod
-    def _validate_in_child(segments, ratings, out):
-        """`charnet validate` in a fresh interpreter, so a crash shows as one."""
+    def _validate_in_child(segments, ratings, out, command="validate"):
+        """`charnet <command>` (validate by default) in a fresh interpreter, so a crash shows as one."""
         return subprocess.run(
             [
                 sys.executable,
                 "-m",
                 "charnet",
-                "validate",
+                command,
                 "--segments",
                 str(segments),
                 "--ratings",
@@ -193,15 +197,29 @@ class TestValidate:
                 b'{"series": "s", "season": 1, "segments": [{"edges": [{"a": "A", "b": "B", "w": 1.0}]}]}',
                 id="missing-key",
             ),
+            pytest.param(
+                b'{"series": "../escaped", "season": 1, "episode": 1, '
+                b'"segments": [{"edges": [{"a": "A", "b": "B", "w": 1.0}]}]}',
+                id="series-leaves-out-dir",
+            ),
+            pytest.param(
+                b'{"series": "a/b", "season": 1, "episode": 1, '
+                b'"segments": [{"edges": [{"a": "A", "b": "B", "w": 1.0}]}]}',
+                id="series-with-slash",
+            ),
         ],
     )
     def test_malformed_corpus_never_crashes(self, clean_dataset, tmp_path, content):
         segments = tmp_path / "segments"
         segments.mkdir()
         (segments / "case.json").write_bytes(content)
-        result = self._validate_in_child(segments, clean_dataset[1], tmp_path / "out")
+        out = tmp_path / "out"
+        # `all` runs the same load as `validate`, then writes per-series files
+        result = self._validate_in_child(segments, clean_dataset[1], out, command="all")
         assert result.returncode in (0, 1, 2)
         assert "Traceback" not in result.stderr
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert all(segments in p.parents or out in p.parents for p in written)
 
 
 def test_internal_error_exits_three(clean_dataset, tmp_path, monkeypatch, capsys):
@@ -214,6 +232,63 @@ def test_internal_error_exits_three(clean_dataset, tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert "internal error: RuntimeError('metric stage broke')" in err
     assert "Traceback" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--eigen-tol", "nan", "--eigen-tol must be a finite number > 0, got nan"),
+        ("--eigen-tol", "-1", "--eigen-tol must be a finite number > 0, got -1"),
+        ("--eigen-max-iter", "0", "--eigen-max-iter must be at least 1, got 0"),
+        ("--permutations", "5", "permutation test needs >= 1000 iterations, got 5"),
+    ],
+)
+def test_invalid_numeric_flag_exits_two_before_reading(
+    clean_dataset, tmp_path, monkeypatch, capsys, flag, value, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("flags must be checked before the dataset is read")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    out = tmp_path / "out"
+    assert run_cli("metrics", clean_dataset, out, flag, value) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset", ["clean_dataset", "messy_dataset"])
+def test_subcommands_write_what_all_writes(request, tmp_path, capsys, dataset):
+    data = request.getfixturevalue(dataset)
+    whole = tmp_path / "all"
+    code = run_cli("all", data, whole)
+    expected = {p.name: p.read_bytes() for p in whole.iterdir()}
+    series = sorted(n[: -len("_metrics.csv")] for n in expected if n.endswith("_metrics.csv"))
+    runs = [["validate"], ["metrics"], ["correlate"]] + [
+        ["plot", "--metric", attr, "--series", name] for name in series for attr in METRIC_BY_ATTR
+    ]
+    written = {}
+    for number, (command, *extra) in enumerate(runs):
+        out = tmp_path / f"run{number}"
+        assert run_cli(command, data, out, *extra) == code, command
+        written.update((p.name, p.read_bytes()) for p in out.iterdir())
+    assert sorted(written) == sorted(expected)
+    assert written == expected
+
+
+def test_runtime_imports_only_stdlib():
+    src = Path(charnet.__file__).resolve().parent.parent
+    probe = (
+        "import sys, charnet, charnet.cli; "
+        "print(sorted(m for m in ('numpy', 'networkx', 'scipy') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestMetrics:

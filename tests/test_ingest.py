@@ -118,6 +118,12 @@ class TestParseSegmentFile:
             {"segments": [{"index": 0, "nodes": "Jon", "edges": []}]},
             {"segments": [{"index": 0, "nodes": 5, "edges": []}]},
             {"segments": [{"index": 0, "nodes": {"Jon": 1}, "edges": []}]},
+            {"series": "../escaped"},
+            {"series": "a/b"},
+            {"series": "a\\b"},
+            {"series": "a\x00b"},
+            {"series": "a\x1bb"},
+            {"series": "a\x85b"},
         ],
     )
     def test_format_violations(self, overrides):
@@ -302,6 +308,11 @@ class TestParseRatingsCsv:
             parse_ratings_csv(
                 "series,season,episode,rating\ngot,1,1,8.0\ngot,1,1,9.0\n"
             )
+
+    @pytest.mark.parametrize("series", ["../escaped", "a/b", "a\\b", "a\x7fb", "a\tb"])
+    def test_series_must_be_file_safe(self, series):
+        with pytest.raises(FormatError, match="line 2: series"):
+            parse_ratings_csv(f"series,season,episode,rating\n{series},1,1,8.0\n")
 
     def test_non_numeric_season(self):
         with pytest.raises(FormatError):
