@@ -10,6 +10,7 @@ orientation-insensitive.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -84,19 +85,30 @@ def add_interaction(graph, a: CharacterId, b: CharacterId, seconds: float):
     Accepts either graph shape.  The edge is created at `seconds` or its
     existing weight is increased; both endpoints join the node set.
     """
-    a = normalize_character(a)
-    b = normalize_character(b)
+    _add_edge(graph, normalize_character(a), normalize_character(b), seconds)
+    return graph
+
+
+def _add_edge(graph, a: CharacterId, b: CharacterId, seconds) -> Pair | None:
+    """Add an edge between normalized names: the one home of the edge rules
+    (no self-loops; weights and their sums positive finite floats).  Returns
+    the pair if it already had an edge, now merged, else None."""
     if a == b:
         raise SelfLoopError(f"self-loop on {a!r}")
-    if not isinstance(seconds, (int, float)) or not math.isfinite(seconds) or seconds <= 0:
+    # an int past the largest float would not convert; nan fails both compares
+    if not isinstance(seconds, (int, float)) or not 0 < seconds <= sys.float_info.max:
         raise NonPositiveWeightError(
             f"edge {a!r}-{b!r} needs a positive finite weight, got {seconds!r}"
         )
     pair = canonical_pair(a, b)
     graph.nodes.add(a)
     graph.nodes.add(b)
-    graph.edges[pair] = graph.edges.get(pair, 0.0) + float(seconds)
-    return graph
+    merged = pair in graph.edges
+    total = graph.edges.get(pair, 0.0) + float(seconds)
+    if total == math.inf:
+        raise NonPositiveWeightError(f"edge {a!r}-{b!r}: merged weights sum past the float range")
+    graph.edges[pair] = total
+    return pair if merged else None
 
 
 def aggregate_segments(segments: list[SegmentGraph], key: EpisodeKey) -> EpisodeGraph:
@@ -113,6 +125,9 @@ def aggregate_segments(segments: list[SegmentGraph], key: EpisodeKey) -> Episode
         episode.nodes.update(segment.nodes)
         for pair, weight in segment.edges.items():
             episode.edges[pair] = episode.edges.get(pair, 0.0) + weight
+    for (a, b), weight in episode.edges.items():
+        if weight == math.inf:  # positive finite weights can only overflow upward
+            raise NonPositiveWeightError(f"episode {key}: weights of {a}-{b} sum past the float range")
     return episode
 
 

@@ -26,9 +26,8 @@ from .graph import (
     EpisodeGraph,
     EpisodeKey,
     SegmentGraph,
-    add_interaction,
+    _add_edge,
     aggregate_segments,
-    canonical_pair,
     normalize_character,
 )
 
@@ -119,18 +118,30 @@ def _file_safe(series: str, where: str) -> None:
 
 
 def _encodable(text: str, what: str) -> None:
+    # JSON escapes can decode to lone surrogates, which no report could write
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise FormatError(f"episode file: {what} {text!r} is not encodable as UTF-8") from exc
 
 
+def _character(names: dict[str, str], raw: str) -> str:
+    """The checked form of a raw name, checked on its first sight in a file."""
+    name = names.get(raw)
+    if name is None:
+        name = normalize_character(raw)
+        _encodable(name, "character name")
+        names[raw] = name
+    return name
+
+
 def parse_segment_file(data: bytes | str) -> ParsedEpisode:
     """Parse one episode file into its segment graphs.
 
-    Segments keep file order and are indexed from 0.  Duplicate unordered
-    edge declarations within a segment are summed and reported as a
-    warning rather than rejected.
+    Segments keep file order and are indexed from 0; an `index` field, if
+    given, must equal that position.  Duplicate unordered edge declarations
+    within a segment are summed and reported as a warning rather than
+    rejected.
     """
     if isinstance(data, bytes):
         try:
@@ -150,6 +161,7 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
     if not series:
         raise FormatError("episode file: series must be a non-empty string")
     _file_safe(series, "episode file")
+    _encodable(series, "series")
     season = _positive_int(_require(doc, "season", "episode file"), "season", "episode file")
     episode = _positive_int(_require(doc, "episode", "episode file"), "episode", "episode file")
     key = EpisodeKey(series=series, season=season, episode=episode)
@@ -160,49 +172,43 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
 
     segments: list[SegmentGraph] = []
     warnings: list[str] = []
+    names: dict[str, str] = {}  # raw name -> checked name
     for position, seg_json in enumerate(segments_json):
         where = f"segment {position}"
         if not isinstance(seg_json, dict):
             raise FormatError(f"{where}: expected an object, got {type(seg_json).__name__}")
+        index = seg_json.get("index", position)
+        if isinstance(index, bool) or not isinstance(index, int) or index != position:
+            raise FormatError(f"{where}: index must equal the segment's position {position}, got {index!r}")
         seg = SegmentGraph(index=position)
 
-        nodes_json = seg_json.get("nodes", [])
-        if not isinstance(nodes_json, list):
-            raise FormatError(f"{where}: nodes must be a list")
-        for name in nodes_json:
-            _text(name, "node name", where)
-            try:
-                seg.nodes.add(normalize_character(name))
-            except InvariantError as exc:
-                raise InvariantError(f"{where}: {exc}") from exc
+        try:
+            nodes_json = seg_json.get("nodes", [])
+            if not isinstance(nodes_json, list):
+                raise FormatError(f"{where}: nodes must be a list")
+            for name in nodes_json:
+                seg.nodes.add(_character(names, _text(name, "node name", where)))
 
-        edges_json = seg_json.get("edges", [])
-        if not isinstance(edges_json, list):
-            raise FormatError(f"{where}: edges must be a list")
-        for edge_json in edges_json:
-            a = _text(_require(edge_json, "a", where), "edge endpoint", where)
-            b = _text(_require(edge_json, "b", where), "edge endpoint", where)
-            w = _require(edge_json, "w", where)
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise FormatError(f"{where}: edge weight must be a number, got {w!r}")
-            try:
-                a, b = normalize_character(a), normalize_character(b)
-                pair = canonical_pair(a, b)
-                if pair in seg.edges:
-                    warnings.append(f"{where}: duplicate edge {pair[0]}-{pair[1]} merged")
-                add_interaction(seg, a, b, w)
-            except (SelfLoopError, NonPositiveWeightError, InvariantError) as exc:
-                raise InvariantError(f"{where}: {exc}") from exc
+            edges_json = seg_json.get("edges", [])
+            if not isinstance(edges_json, list):
+                raise FormatError(f"{where}: edges must be a list")
+            for edge_json in edges_json:
+                a = _text(_require(edge_json, "a", where), "edge endpoint", where)
+                b = _text(_require(edge_json, "b", where), "edge endpoint", where)
+                w = _require(edge_json, "w", where)
+                if isinstance(w, bool) or not isinstance(w, (int, float)):
+                    raise FormatError(f"{where}: edge weight must be a number, got {w!r}")
+                merged = _add_edge(seg, _character(names, a), _character(names, b), w)
+                if merged:
+                    warnings.append(f"{where}: duplicate edge {merged[0]}-{merged[1]} merged")
+        except (SelfLoopError, NonPositiveWeightError, InvariantError) as exc:
+            raise InvariantError(f"{where}: {exc}") from exc
         if not seg.edges:
             warnings.append(f"{where}: no edges")
         segments.append(seg)
 
     if not segments:
         raise FormatError("episode file: segments list is empty")
-    # JSON escapes can decode to lone surrogates, which no report could write
-    _encodable(series, "series")
-    for name in set().union(*(seg.nodes for seg in segments)):
-        _encodable(name, "character name")
     return ParsedEpisode(key=key, segments=segments, warnings=warnings)
 
 
@@ -299,8 +305,8 @@ def load_dataset(
     if not paths:
         raise EmptyDatasetError("no episode files found")
 
-    parsed: dict[EpisodeKey, ParsedEpisode] = {}
-    extra_warnings: dict[EpisodeKey, list[str]] = {}
+    # per kept key: its graph, its parse warnings, its duplicate-file warnings
+    kept: dict[EpisodeKey, tuple[EpisodeGraph, list[str], list[str]]] = {}
     for path in paths:
         try:
             episode = parse_segment_file(path.read_bytes())
@@ -308,26 +314,23 @@ def load_dataset(
             raise FormatError(f"{path}: {exc}") from exc
         except InvariantError as exc:
             raise InvariantError(f"{path}: {exc}") from exc
-        if episode.key in parsed:
-            extra_warnings.setdefault(episode.key, []).append(
-                f"duplicate episode key in {path.name}, first kept"
-            )
-            continue
-        parsed[episode.key] = episode
+        if episode.key in kept:
+            kept[episode.key][2].append(f"duplicate episode key in {path.name}, first kept")
+        else:
+            graph = aggregate_segments(episode.segments, episode.key)
+            kept[episode.key] = (graph, episode.warnings, [])
 
     ratings = parse_ratings_csv(Path(ratings_file).read_bytes())
 
     episodes: list[EpisodeGraph] = []
     manifest = DatasetManifest()
     per_series_counter: dict[str, int] = {}
-    for key in sorted(parsed):
-        item = parsed[key]
-        graph = aggregate_segments(item.segments, key)
+    for key in sorted(kept):
+        graph, parse_warnings, duplicates = kept[key]
         per_series_counter[key.series] = per_series_counter.get(key.series, 0) + 1
         graph.ordinal = per_series_counter[key.series]
 
-        warnings = list(item.warnings)
-        warnings.extend(extra_warnings.get(key, []))
+        warnings = parse_warnings + duplicates
         linked = {v for pair in graph.edges for v in pair}
         isolated = sorted(graph.nodes - linked)
         if isolated:
@@ -344,11 +347,11 @@ def load_dataset(
                 node_count=len(graph.nodes),
                 edge_count=len(graph.edges),
                 warnings=warnings,
-                duplicates_dropped=len(extra_warnings.get(key, ())),
+                duplicates_dropped=len(duplicates),
             )
         )
 
     for key in ratings.keys():
-        if key not in parsed:
+        if key not in kept:
             manifest.dataset_warnings.append(f"rating without episode: {key}")
     return episodes, ratings, manifest

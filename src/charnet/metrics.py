@@ -352,8 +352,9 @@ def summarize(vec: CentralityVector) -> tuple[float, float]:
 def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = None) -> EpisodeMetrics:
     """Fill all 12 metric columns for one episode.
 
-    A degenerate metric becomes 0 plus a warning; the row itself always
-    comes back rectangular so downstream correlation never loses a column.
+    A degenerate metric, or a summary that overflows a float, becomes 0
+    plus a warning; the row itself always comes back rectangular so
+    downstream correlation never loses a column.
     """
     config = config or MetricsConfig()
     row = EpisodeMetrics(key=graph.key, ordinal=graph.ordinal)
@@ -367,7 +368,9 @@ def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = 
             return compute()
         except CharnetError as exc:
             row.warnings.append(f"{name}: {exc}")
-            return fallback
+        except OverflowError:  # strengths of weights near the float limit
+            row.warnings.append(f"{name}: summary overflows a float")
+        return fallback
 
     index = _Index(graph)
     row.density = guarded("density", lambda: density(graph), 0.0)

@@ -207,6 +207,26 @@ class TestValidate:
                 b'"segments": [{"edges": [{"a": "A", "b": "B", "w": 1.0}]}]}',
                 id="series-with-slash",
             ),
+            pytest.param(
+                b'{"series": "s", "season": 1, "episode": 1, '
+                b'"segments": [{"edges": [{"a": "A", "b": "B", "w": 1' + b"0" * 400 + b"}]}]}",
+                id="weight-past-float-range",
+            ),
+            pytest.param(
+                b'{"series": "s", "season": 1, "episode": 1, "segments": [{"edges": '
+                b'[{"a": "A", "b": "B", "w": 1e308}, {"a": "A", "b": "C", "w": 1e308}]}]}',
+                id="strength-past-float-range",
+            ),
+            pytest.param(
+                b'{"series": "s", "season": 1, "episode": 1, "segments": [{"edges": '
+                b'[{"a": "A", "b": "B", "w": 1e160}, {"a": "B", "b": "C", "w": 1.0}]}]}',
+                id="strength-variance-past-float-range",
+            ),
+            pytest.param(
+                b'{"series": "s", "season": 1, "episode": 1, "segments": '
+                b'[{"edges": [{"a": "A", "b": "B", "w": 1e308}]}, {"edges": [{"a": "B", "b": "A", "w": 1e308}]}]}',
+                id="segment-sum-past-float-range",
+            ),
         ],
     )
     def test_malformed_corpus_never_crashes(self, clean_dataset, tmp_path, content):

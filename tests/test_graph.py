@@ -75,10 +75,16 @@ class TestAddInteraction:
         with pytest.raises(SelfLoopError):
             add_interaction(SegmentGraph(index=0), "A", " A ", 1.0)
 
-    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf, -math.inf, 10**400])
     def test_bad_weight_rejected(self, weight):
         with pytest.raises(NonPositiveWeightError):
             add_interaction(SegmentGraph(index=0), "A", "B", weight)
+
+    def test_merge_past_float_range_rejected(self):
+        g = SegmentGraph(index=0)
+        add_interaction(g, "A", "B", 1e308)
+        with pytest.raises(NonPositiveWeightError, match="'B'-'A'"):
+            add_interaction(g, "B", "A", 1e308)
 
     def test_works_on_episode_graphs_too(self):
         g = EpisodeGraph(key=KEY)
@@ -121,6 +127,11 @@ class TestAggregate:
     def test_empty_segment_list_rejected(self):
         with pytest.raises(EmptyEpisodeError):
             aggregate_segments([], KEY)
+
+    def test_sum_past_float_range_names_episode_and_pair(self):
+        segments = [add_interaction(SegmentGraph(index=i), "A", "B", 1e308) for i in range(2)]
+        with pytest.raises(NonPositiveWeightError, match=f"episode {KEY}: weights of A-B"):
+            aggregate_segments(segments, KEY)
 
     def test_isolated_nodes_survive_union(self):
         s = SegmentGraph(index=0, nodes={"Quiet One"})

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from charnet import ingest
 from charnet.errors import (
     CharnetError,
     DuplicateKeyError,
@@ -124,6 +126,12 @@ class TestParseSegmentFile:
             {"series": "a\x00b"},
             {"series": "a\x1bb"},
             {"series": "a\x85b"},
+            {"segments": [{"index": 1, "edges": [{"a": "A", "b": "B", "w": 1.0}]}]},
+            {"segments": [{"index": "0", "edges": [{"a": "A", "b": "B", "w": 1.0}]}]},
+            {"segments": [{"index": True, "edges": [{"a": "A", "b": "B", "w": 1.0}]}]},
+            {"segments": [{"index": -1, "edges": [{"a": "A", "b": "B", "w": 1.0}]}]},
+            {"segments": [{"index": 0, "edges": [{"a": ["A"], "b": "B", "w": 1.0}]}]},
+            {"segments": [{"index": 0, "nodes": [{}], "edges": []}]},
         ],
     )
     def test_format_violations(self, overrides):
@@ -218,7 +226,7 @@ _JSON_VALUES = st.recursive(
 # Episode-shaped documents get past the header, so the segment, node and
 # edge checks see awkward values too; arbitrary values rarely get that far.
 _AWKWARD = st.sampled_from(
-    ["A", "B", " A ", "", "\n", 0, 1, -1, 2.5, -0.0, 1e308, True, None, [], {}]
+    ["A", "B", " A ", "", "\n", 0, 1, -1, 2.5, -0.0, 1e308, 2**1024, True, None, [], {}]
     + [float("nan"), float("inf"), float("-inf")]
 )
 _ANY = st.one_of(_AWKWARD, _JSON_VALUES)
@@ -242,6 +250,9 @@ _EPISODES = st.fixed_dictionaries(
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_JSON_VALUES, _EPISODES))
+@example(
+    {"series": "fuzz", "season": 1, "episode": 1, "segments": [{"edges": [{"a": "A", "b": "B", "w": 2**1024}]}]}
+)
 def test_parser_totality_json_values(doc):
     text = json.dumps(doc)
     for blob in (text, text.encode("utf-8")):
@@ -398,6 +409,27 @@ class TestLoadDataset:
         assert [e.key for e in twice] == [e.key for e in once]
         for a, b in zip(once, twice):
             assert a.edges == b.edges
+
+    def test_holds_at_most_one_parsed_file_when_reading_ratings(self, tmp_path, monkeypatch):
+        segments_dir, ratings_csv = build_demo_dataset(tmp_path)
+        files = sorted(segments_dir.glob("*.json"))
+        results = []
+        alive_at_ratings = []
+
+        def parse(data):
+            parsed = parse_segment_file(data)
+            results.append(weakref.ref(parsed))
+            return parsed
+
+        def ratings(data):
+            alive_at_ratings.append(sum(ref() is not None for ref in results))
+            return parse_ratings_csv(data)
+
+        monkeypatch.setattr(ingest, "parse_segment_file", parse)
+        monkeypatch.setattr(ingest, "parse_ratings_csv", ratings)
+        load_dataset(files, ratings_csv)
+        assert len(results) == len(files)
+        assert alive_at_ratings[0] <= 1
 
     def test_empty_dataset_rejected(self, tmp_path):
         ratings = tmp_path / "ratings.csv"

@@ -331,6 +331,15 @@ class TestComputeEpisodeMetrics:
             assert getattr(row, attr) == 0
         assert any("DegenerateGraph" in w for w in row.warnings)
 
+    @pytest.mark.parametrize(
+        "edges",
+        [{("A", "B"): 1e308, ("A", "C"): 1e308}, {("A", "B"): 1e160, ("B", "C"): 1.0}],
+    )
+    def test_strength_overflow_becomes_warning(self, edges):
+        row = compute_episode_metrics(graph_from(edges))
+        assert (row.strength_max, row.strength_std) == (0.0, 0.0)
+        assert row.warnings == ["strength: summary overflows a float"]
+
     def test_convergence_failure_becomes_warning(self):
         row = compute_episode_metrics(
             graph_from(PATH3), MetricsConfig(eigen_max_iter=1)
