@@ -116,6 +116,8 @@ def _run(args: argparse.Namespace) -> int:
             known = ", ".join(graphs_by_series)
             raise UnknownSeriesError(f"unknown series {args.series!r}; dataset has: {known}")
         plots = [(args.series, column)]
+        # plot computes, and counts the warnings of, its own series only
+        graphs_by_series = {args.series: graphs_by_series[args.series]}
     elif everything and "svg" in formats:
         plots = [(s, METRIC_BY_ATTR[a]) for s in graphs_by_series for a in sorted(METRIC_BY_ATTR)]
 
@@ -124,6 +126,15 @@ def _run(args: argparse.Namespace) -> int:
         series: [compute_episode_metrics(graph, config) for graph in graphs]
         for series, graphs in graphs_by_series.items()
     }
+    # the reports carry no row warnings, so stderr names them, in key order
+    row_warnings = [
+        f"warning: {row.key}: {text}"
+        for rows in rows_by_series.values()
+        for row in rows
+        for text in row.warnings
+    ]
+    for line in row_warnings:
+        print(line, file=sys.stderr)
     echo = _echo_lines(args)
     tables = [f for f in ("csv", "md") if f in formats]
     if everything or args.command == "metrics":
@@ -158,8 +169,7 @@ def _run(args: argparse.Namespace) -> int:
         svg = render_scatter_svg(points, column.label, series, echo)
         _write(args.out / f"{series}_{column.attr}_scatter.svg", svg)
 
-    row_warnings = sum(len(row.warnings) for rows in rows_by_series.values() for row in rows)
-    return 1 if manifest.warning_count() + row_warnings else 0
+    return 1 if manifest.warning_count() + len(row_warnings) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,13 +11,16 @@ renaming characters changes nothing.  Eigenvector centrality is the
 exception: power iteration stops within its tolerance, in sorted node
 order, so it is only identical across runs and hash seeds.
 
-Each episode's active nodes are indexed once (_Index), with neighbor sets
-as int bitsets, and one all-sources traversal (_hop_counts) gives every
-node its integer histogram of hop distances: all balls grow together, one
-hop per round, and the popcount of a ball's new bits counts the nodes at
-that distance.  Harmonic centrality reads a node's histogram; component-
-mean efficiency pools its members' histograms; neighborhood efficiency
-runs the same traversal masked to each neighborhood.
+Every topology metric reads an index of the active nodes (_Index), with
+neighbor sets as int bitsets, and one all-sources traversal (_hop_counts)
+gives every node its integer histogram of hop distances: all balls grow
+together, one hop per round, and the popcount of a ball's new bits counts
+the nodes at that distance.  Harmonic centrality reads a node's histogram;
+component-mean efficiency pools its members' histograms; neighborhood
+efficiency runs the same traversal masked to each neighborhood.  A row
+indexes its episode once: compute_episode_metrics lends that index to the
+public functions it calls (_index), for that graph object only and until
+the row is done, so any other call indexes its graph afresh.
 """
 
 from __future__ import annotations
@@ -107,13 +110,9 @@ METRIC_BY_ATTR = {column.attr: column for column in METRICS}
 EFFICIENCY_MODES = ("component-mean", "neighborhood")
 
 
-def active_node_set(graph) -> set[CharacterId]:
-    """Nodes with at least one edge."""
-    return {v for pair in graph.edges for v in pair}
-
-
 def active_nodes(graph) -> int:
-    return len(active_node_set(graph))
+    """Number of nodes with at least one edge."""
+    return len(_index(graph).nbr)
 
 
 def density(graph) -> float:
@@ -138,11 +137,12 @@ def node_strengths(graph) -> CentralityVector:
 class _Index:
     """An episode's active nodes in sorted order, each mapped to its bit
     position, and per position the neighbors as an int bitset (bit j set:
-    edge to node j).  Built once per episode and shared by every topology
-    metric; the all-sources hop histogram is computed on first use."""
+    edge to node j).  Every topology metric reads one; the all-sources hop
+    histogram is computed on first use."""
 
     def __init__(self, graph) -> None:
-        self.position = {v: i for i, v in enumerate(sorted(active_node_set(graph)))}
+        active = {v for pair in graph.edges for v in pair}
+        self.position = {v: i for i, v in enumerate(sorted(active))}
         self.nbr = [0] * len(self.position)
         for a, b in graph.edges:
             i, j = self.position[a], self.position[b]
@@ -153,6 +153,16 @@ class _Index:
     def hops(self) -> tuple[list[int], list[list[int]]]:
         """_hop_counts over the whole graph, one entry per position."""
         return _hop_counts(self.nbr, (1 << len(self.nbr)) - 1)
+
+
+# (graph, its _Index) while compute_episode_metrics fills that graph's row
+_lent: tuple[EpisodeGraph | None, _Index | None] = (None, None)
+
+
+def _index(graph) -> _Index:
+    """The index lent for this very graph object, else a fresh one."""
+    lent_graph, index = _lent  # read once: another thread's row may replace it
+    return index if lent_graph is graph else _Index(graph)
 
 
 def _bits(mask: int) -> list[int]:
@@ -224,10 +234,17 @@ def global_efficiency(graph) -> float:
     n = len(graph.nodes)
     if n < 2:
         return 0.0
-    return _efficiency(n, _Index(graph).hops[1])
+    return _efficiency(n, _index(graph).hops[1])
 
 
-def _efficiency_column(index: _Index, mode: str) -> float:
+def efficiency_metric(graph, mode: str = "component-mean") -> float:
+    """The Efficiency column.
+
+    component-mean: unweighted mean of global efficiency over connected
+    components with >= 2 nodes.  neighborhood: mean over active nodes of
+    the efficiency of the subgraph induced by each node's neighbors.
+    """
+    index = _index(graph)
     if mode == "component-mean":
         # an active node's reach is its component, which has >= 2 nodes
         parts: dict[int, list[list[int]]] = {}
@@ -251,17 +268,9 @@ def _efficiency_column(index: _Index, mode: str) -> float:
     return math.fsum(values) / len(values)
 
 
-def efficiency_metric(graph, mode: str = "component-mean") -> float:
-    """The Efficiency column.
-
-    component-mean: unweighted mean of global efficiency over connected
-    components with >= 2 nodes.  neighborhood: mean over active nodes of
-    the efficiency of the subgraph induced by each node's neighbors.
-    """
-    return _efficiency_column(_Index(graph), mode)
-
-
-def _transitivity(graph, index: _Index) -> float:
+def transitivity(graph) -> float:
+    """3 x triangles / triads; a triad is a 2-path centered at a node."""
+    index = _index(graph)
     position, nbr = index.position, index.nbr
     triads = sum(d * (d - 1) // 2 for d in (mask.bit_count() for mask in nbr))
     if triads == 0:
@@ -273,25 +282,11 @@ def _transitivity(graph, index: _Index) -> float:
     return triangle_paths / triads
 
 
-def transitivity(graph) -> float:
-    """3 x triangles / triads; a triad is a 2-path centered at a node."""
-    return _transitivity(graph, _Index(graph))
-
-
-def _degree_vector(index: _Index) -> CentralityVector:
-    return CentralityVector(
-        "degree", {v: float(index.nbr[i].bit_count()) for v, i in index.position.items()}
-    )
-
-
 def degree_vector(graph) -> CentralityVector:
     """Unweighted edge count per active node."""
-    return _degree_vector(_Index(graph))
-
-
-def _harmonic_vector(index: _Index) -> CentralityVector:
+    index = _index(graph)
     return CentralityVector(
-        "harmonic", dict(zip(index.position, map(_reciprocal, index.hops[1])))
+        "degree", {v: float(index.nbr[i].bit_count()) for v, i in index.position.items()}
     )
 
 
@@ -300,10 +295,24 @@ def harmonic_vector(graph) -> CentralityVector:
 
     Unreachable pairs contribute 0; no normalization by n - 1.
     """
-    return _harmonic_vector(_Index(graph))
+    index = _index(graph)
+    return CentralityVector(
+        "harmonic", dict(zip(index.position, map(_reciprocal, index.hops[1])))
+    )
 
 
-def _eigenvector_vector(index: _Index, tol: float, max_iter: int) -> CentralityVector:
+def eigenvector_vector(
+    graph, tol: float = 1e-10, max_iter: int = 10000
+) -> CentralityVector:
+    """Dominant eigenvector of the unweighted adjacency over active nodes.
+
+    Power iteration from the uniform positive vector, normalized to unit
+    Euclidean norm each step; converged when successive iterates differ by
+    less than tol in max-norm.  Iterating with A + I instead of A leaves
+    the eigenvectors unchanged but keeps bipartite graphs, whose extreme
+    eigenvalues tie in magnitude, from oscillating forever.
+    """
+    index = _index(graph)
     nbr = index.nbr
     if not nbr:
         raise NoEdgesError("eigenvector centrality needs at least one edge")
@@ -325,20 +334,6 @@ def _eigenvector_vector(index: _Index, tol: float, max_iter: int) -> CentralityV
     )
 
 
-def eigenvector_vector(
-    graph, tol: float = 1e-10, max_iter: int = 10000
-) -> CentralityVector:
-    """Dominant eigenvector of the unweighted adjacency over active nodes.
-
-    Power iteration from the uniform positive vector, normalized to unit
-    Euclidean norm each step; converged when successive iterates differ by
-    less than tol in max-norm.  Iterating with A + I instead of A leaves
-    the eigenvectors unchanged but keeps bipartite graphs, whose extreme
-    eigenvalues tie in magnitude, from oscillating forever.
-    """
-    return _eigenvector_vector(_Index(graph), tol, max_iter)
-
-
 def summarize(vec: CentralityVector) -> tuple[float, float]:
     """(max, population std) of a centrality vector."""
     if not vec.scores:
@@ -356,12 +351,9 @@ def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = 
     plus a warning; the row itself always comes back rectangular so
     downstream correlation never loses a column.
     """
+    global _lent
     config = config or MetricsConfig()
     row = EpisodeMetrics(key=graph.key, ordinal=graph.ordinal)
-    row.active_nodes = active_nodes(graph)
-    if row.active_nodes == 0:
-        row.warnings.append("DegenerateGraph: no active nodes, all metrics 0")
-        return row
 
     def guarded(name: str, compute, fallback):
         try:
@@ -372,25 +364,32 @@ def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = 
             row.warnings.append(f"{name}: summary overflows a float")
         return fallback
 
-    index = _Index(graph)
-    row.density = guarded("density", lambda: density(graph), 0.0)
-    row.efficiency = guarded(
-        "efficiency", lambda: _efficiency_column(index, config.efficiency_mode), 0.0
-    )
-    row.transitivity = _transitivity(graph, index)
-    row.strength_max, row.strength_std = guarded(
-        "strength", lambda: summarize(node_strengths(graph)), (0.0, 0.0)
-    )
-    degree_max, row.degree_std = guarded(
-        "degree", lambda: summarize(_degree_vector(index)), (0.0, 0.0)
-    )
-    row.degree_max = int(degree_max)
-    row.harmonic_max, row.harmonic_std = guarded(
-        "harmonic", lambda: summarize(_harmonic_vector(index)), (0.0, 0.0)
-    )
-    row.eigen_max, row.eigen_std = guarded(
-        "eigenvector",
-        lambda: summarize(_eigenvector_vector(index, config.eigen_tol, config.eigen_max_iter)),
-        (0.0, 0.0),
-    )
-    return row
+    _lent = (graph, _Index(graph))
+    try:
+        row.active_nodes = active_nodes(graph)
+        if row.active_nodes == 0:
+            row.warnings.append("DegenerateGraph: no active nodes, all metrics 0")
+            return row
+        row.density = guarded("density", lambda: density(graph), 0.0)
+        row.efficiency = guarded(
+            "efficiency", lambda: efficiency_metric(graph, config.efficiency_mode), 0.0
+        )
+        row.transitivity = transitivity(graph)
+        row.strength_max, row.strength_std = guarded(
+            "strength", lambda: summarize(node_strengths(graph)), (0.0, 0.0)
+        )
+        degree_max, row.degree_std = guarded(
+            "degree", lambda: summarize(degree_vector(graph)), (0.0, 0.0)
+        )
+        row.degree_max = int(degree_max)
+        row.harmonic_max, row.harmonic_std = guarded(
+            "harmonic", lambda: summarize(harmonic_vector(graph)), (0.0, 0.0)
+        )
+        row.eigen_max, row.eigen_std = guarded(
+            "eigenvector",
+            lambda: summarize(eigenvector_vector(graph, config.eigen_tol, config.eigen_max_iter)),
+            (0.0, 0.0),
+        )
+        return row
+    finally:
+        _lent = (None, None)

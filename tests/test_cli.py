@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -387,6 +388,35 @@ class TestPlot:
         assert svg.count("<circle") == 6
         assert "Density vs Review for alpha" in svg
 
+    def test_computes_and_counts_only_its_series(self, tmp_path, monkeypatch, capsys):
+        # two 1e308 edges on one node overflow beta 1 2's strength summary,
+        # a row warning that the manifest cannot see
+        segments, ratings = build_demo_dataset(tmp_path / "data")
+        path = segments / "beta_s01e02.json"
+        episode = json.loads(path.read_text(encoding="utf-8"))
+        episode["segments"][0]["edges"] += [
+            {"a": "Zed One", "b": "Zed Two", "w": 1e308},
+            {"a": "Zed One", "b": "Zed Three", "w": 1e308},
+        ]
+        path.write_text(json.dumps(episode), encoding="utf-8")
+        computed = []
+        compute = cli.compute_episode_metrics
+
+        def counting(graph, config):
+            computed.append(graph.key)
+            return compute(graph, config)
+
+        monkeypatch.setattr(cli, "compute_episode_metrics", counting)
+        dataset = (segments, ratings)
+        assert run_cli("validate", dataset, tmp_path / "v") == 0
+        code = run_cli("plot", dataset, tmp_path / "a", "--metric", "density", "--series", "alpha")
+        assert code == 0
+        assert [key.series for key in computed] == ["alpha"] * 6
+        assert capsys.readouterr().err == ""
+        code = run_cli("plot", dataset, tmp_path / "b", "--metric", "density", "--series", "beta")
+        assert code == 1
+        assert capsys.readouterr().err == "warning: beta 1 2: strength: summary overflows a float\n"
+
     def test_unknown_metric(self, clean_dataset, tmp_path, capsys):
         code = run_cli(
             "plot", clean_dataset, tmp_path / "out", "--metric", "pagerank", "--series", "alpha"
@@ -452,6 +482,24 @@ class TestAll:
         assert code == 1
         assert (out / "gamma_metrics.csv").is_file()
         assert (out / "gamma_correlations.csv").is_file()
+
+    def test_row_warnings_go_to_stderr_in_key_order(self, clean_dataset, tmp_path, capsys):
+        assert run_cli("all", clean_dataset, tmp_path / "clean") == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        out = tmp_path / "capped"
+        assert run_cli("all", clean_dataset, out, "--eigen-max-iter", "1") == 1
+        capped = capsys.readouterr()
+        # stdout lists the files written, as in a clean run
+        assert capped.out == clean.out.replace(str(tmp_path / "clean"), str(out))
+        keys = [f"{series} 1 {episode}" for series in ("alpha", "beta") for episode in range(1, 7)]
+        lines = capped.err.splitlines()
+        assert len(lines) == len(keys)
+        for line, key in zip(lines, keys):
+            prefix = f"warning: {key}: eigenvector: power iteration missed tol=1e-10 after 1 iterations"
+            assert line.startswith(prefix), line
+        # the manifest counts dataset warnings only
+        assert (out / "manifest.txt").read_text(encoding="utf-8").endswith("warnings: 0\n")
 
     def test_correlate_needs_four_rated(self, tmp_path, capsys):
         segments_dir = tmp_path / "segments"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from charnet import metrics
 from charnet.errors import (
     ConvergenceError,
     DegenerateGraphError,
@@ -346,6 +347,51 @@ class TestComputeEpisodeMetrics:
         )
         assert row.eigen_max == 0.0
         assert any("eigenvector" in w for w in row.warnings)
+
+
+class TestSharedIndex:
+    """compute_episode_metrics lends one index to the public functions for
+    the row it fills, and to nothing else."""
+
+    @pytest.mark.parametrize("mode", EFFICIENCY_MODES)
+    def test_one_whole_graph_traversal_per_row(self, monkeypatch, mode):
+        whole = []
+        hop_counts = metrics._hop_counts
+
+        def counting(nbr, within):
+            whole.append(within == (1 << len(nbr)) - 1)
+            return hop_counts(nbr, within)
+
+        monkeypatch.setattr(metrics, "_hop_counts", counting)
+        for edges in (TRIANGLE, PATH4, STAR3, TWO_EDGES):
+            whole.clear()
+            row = compute_episode_metrics(graph_from(edges), MetricsConfig(efficiency_mode=mode))
+            assert row.warnings == []
+            assert whole.count(True) == 1, edges
+            if mode == "component-mean":  # harmonic and efficiency share that one
+                assert whole == [True], edges
+
+    def _assert_fresh_after_edge(self, g):
+        add_interaction(g, "A", "C", 1.0)
+        fresh = graph_from(g.edges)
+        assert harmonic_vector(g) == harmonic_vector(fresh)
+        assert transitivity(g) == transitivity(fresh)
+
+    def test_no_stale_index_after_row(self):
+        g = graph_from(PATH4)
+        compute_episode_metrics(g)
+        self._assert_fresh_after_edge(g)
+
+    def test_no_stale_index_after_row_raises(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("eigen broke")
+
+        g = graph_from(PATH4)
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "eigenvector_vector", broken)
+            with pytest.raises(RuntimeError):
+                compute_episode_metrics(g)
+        self._assert_fresh_after_edge(g)
 
 
 # random graphs on up to 20 nodes with positive weights

@@ -8,6 +8,8 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from charnet import cli
 
 from support import build_demo_dataset
@@ -48,3 +50,29 @@ def test_traced_load_parses_and_aggregates_each_file_once(tmp_path, monkeypatch)
     assert calls["graph.aggregate_segments"] == len(episodes)
     parsed = [s for s in tracer.spans if s["name"] == "ingest.parse_segment_file"]
     assert sum(s["counts"]["segments"] for s in parsed) == sum(e.segment_count for e in episodes)
+
+
+@pytest.mark.parametrize("mode", ["component-mean", "neighborhood"])
+def test_traced_metrics_time_each_topology_metric_per_episode(tmp_path, monkeypatch, mode):
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer("test")
+    for module, attr, name, count in tracer_module.TRACED:
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # restored after the test
+        tracer.wrap(module, attr, name, count)
+    segments_dir, ratings_csv = build_demo_dataset(tmp_path)
+    argv = ["metrics", "--segments", str(segments_dir), "--ratings", str(ratings_csv)]
+
+    assert cli.main([*argv, "--out", str(tmp_path / "out"), "--efficiency", mode]) == 0
+
+    rows = sorted(s["id"] for s in tracer.spans if s["name"] == "metrics.compute_episode_metrics")
+    assert len(rows) == len(list(segments_dir.glob("*.json")))
+    for name in (
+        "harmonic_vector",
+        "efficiency_metric",
+        "eigenvector_vector",
+        "transitivity",
+        "degree_vector",
+    ):
+        # one span per episode, each a child of that episode's row
+        parents = sorted(s["parent"] for s in tracer.spans if s["name"] == f"metrics.{name}")
+        assert parents == rows, name
