@@ -22,7 +22,6 @@ CORRELATIONS_HEADER = ["Metric", "Correlation", "pValue", "Stars"]
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
 SVG_MARGIN = {"left": 80.0, "right": 30.0, "top": 60.0, "bottom": 70.0}
-AXIS_PAD = 0.05  # fraction of the data span added on each side
 
 
 def fmt_real(value: float) -> str:
@@ -118,14 +117,37 @@ def render_correlations_markdown(
     return _markdown(CORRELATIONS_HEADER, _correlation_cells(report), notes)
 
 
-def _axis_range(values: list[float]) -> tuple[float, float]:
-    lo, hi = min(values), max(values)
+def _axis_range(values: list[float]) -> tuple[int, int, int]:
+    """Axis ends lo/den and hi/den, exact: the span of the values padded by
+    1/20 of itself on each side.  A float is an integer over a power of two,
+    so integers hold every end and tick without rounding.
+    """
+    (a, p), (b, q) = min(values).as_integer_ratio(), max(values).as_integer_ratio()
+    den = max(p, q)
+    lo, hi = a * (den // p), b * (den // q)
     if lo == hi:
         # degenerate span: fall back to a half-unit pad on each side
-        lo -= 0.5
-        hi += 0.5
-    pad = AXIS_PAD * (hi - lo)
-    return lo - pad, hi + pad
+        lo, hi, den = 2 * lo - den, 2 * hi + den, 2 * den
+    # lo - (hi - lo)/20 and hi + (hi - lo)/20, both over 20 * den
+    return 21 * lo - hi, 21 * hi - lo, 20 * den
+
+
+def _share(value: float, axis: tuple[int, int, int]) -> float:
+    """How far along the exact axis (lo, hi, den) a value lies, from 0 to 1."""
+    lo, hi, den = axis
+    num, p = value.as_integer_ratio()
+    return (num * den - lo * p) / ((hi - lo) * p)
+
+
+def _tick_label(axis: tuple[int, int, int], i: int) -> str:
+    """fmt_real of tick i of 0..4, lo + i/4 * (hi - lo), rounded once."""
+    lo, hi, den = axis
+    num, den = 4 * lo + i * (hi - lo), 4 * den
+    milli, rest = divmod(abs(num) * 1000, den)  # round half-even
+    if 2 * rest > den or 2 * rest == den and milli % 2:
+        milli += 1
+    whole, milli = divmod(milli, 1000)
+    return f"{'-' if num < 0 else ''}{whole}.{milli:03d}"
 
 
 def render_scatter_svg(
@@ -140,14 +162,14 @@ def render_scatter_svg(
     plot_w = SVG_WIDTH - left - SVG_MARGIN["right"]
     plot_h = SVG_HEIGHT - top - SVG_MARGIN["bottom"]
 
-    x_lo, x_hi = _axis_range([x for x, _ in points])
-    y_lo, y_hi = _axis_range([y for _, y in points])
+    x_range = _axis_range([x for x, _ in points])
+    y_range = _axis_range([y for _, y in points])
 
     def sx(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return left + _share(x, x_range) * plot_w
 
     def sy(y: float) -> float:
-        return top + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return top + (1 - _share(y, y_range)) * plot_h
 
     title = f"{metric_label} vs Review for {series_label}"
     lines = [
@@ -163,26 +185,23 @@ def render_scatter_svg(
         f' y2="{top + plot_h:.2f}" stroke="#333333" stroke-width="1"/>',
     ]
     for i in range(5):
-        frac = i / 4.0
-        x_val = x_lo + frac * (x_hi - x_lo)
-        px = sx(x_val)
+        px = left + i / 4 * plot_w
         lines.append(
             f'<line x1="{px:.2f}" y1="{top + plot_h:.2f}" x2="{px:.2f}"'
             f' y2="{top + plot_h + 6:.2f}" stroke="#333333" stroke-width="1"/>'
         )
         lines.append(
             f'<text x="{px:.2f}" y="{top + plot_h + 22:.2f}" text-anchor="middle"'
-            f' font-family="sans-serif" font-size="12">{fmt_real(x_val)}</text>'
+            f' font-family="sans-serif" font-size="12">{_tick_label(x_range, i)}</text>'
         )
-        y_val = y_lo + frac * (y_hi - y_lo)
-        py = sy(y_val)
+        py = top + (1 - i / 4) * plot_h
         lines.append(
             f'<line x1="{left - 6:.2f}" y1="{py:.2f}" x2="{left:.2f}"'
             f' y2="{py:.2f}" stroke="#333333" stroke-width="1"/>'
         )
         lines.append(
             f'<text x="{left - 10:.2f}" y="{py + 4:.2f}" text-anchor="end"'
-            f' font-family="sans-serif" font-size="12">{fmt_real(y_val)}</text>'
+            f' font-family="sans-serif" font-size="12">{_tick_label(y_range, i)}</text>'
         )
     lines.append(
         f'<text x="{left + plot_w / 2:.2f}" y="{SVG_HEIGHT - 18:.2f}" text-anchor="middle"'

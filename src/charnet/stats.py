@@ -220,34 +220,62 @@ def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]
     The dots run in exact integers.  Centered ranks are half-integers, so
     2c + n is a non-negative integer, and as each column sums to 0,
     sum (2a + n)(2b + n) = 4*dot + n^3, which lies in [0, 2n^3].  Every
-    column gets a bit field that wide in one packed int per position, so
-    one multiply-accumulate per shuffle yields all the dots at once.
+    column gets a bit field in one packed int per position, so one
+    multiply-accumulate per shuffle yields all the dots at once.
+
+    The hit test is packed too.  A field is max(bits(2n^3), bits(iterations))
+    + 1 bits wide, and its top bit is a guard that no dot reaches.  A field
+    is an integer, so |4*dot| >= limit_c holds exactly when the field is at
+    least hi_c = n^3 + k_c or at most lo_c = n^3 - k_c, with k_c =
+    ceil(limit_c).  Adding guard - hi_c to a field sets its guard bit iff
+    field >= hi_c, and adding guard - lo_c - 1 sets it iff field > lo_c;
+    neither sum carries out of its field.  So each shuffle leaves every
+    column's hit in its guard bit, and the hits add up there: a count of
+    at most `iterations` fits in the bits up to the next field's guard.
     """
     if iterations < 1000:
         raise DomainError(f"permutation test needs >= 1000 iterations, got {iterations}")
     observed = [abs(sum(a * b for a, b in zip(cx, cy))) for cx in columns]
-    # Scaling a float by 4 and comparing an int with a float are both exact,
-    # so |4*dot| >= limit is |dot| >= threshold with no rounding.
-    limits = [4 * (o - 1e-9 * max(1.0, o)) for o in observed]
+    # 4*dot is an integer and scaling a float by 4 is exact, so
+    # |dot| >= threshold is |4*dot| >= ceil(4*threshold) with no rounding.
+    bounds = [math.ceil(4 * (o - 1e-9 * max(1.0, o))) for o in observed]
     n = len(cy)
     cube = n**3
-    width = (2 * cube).bit_length()
-    mask = (1 << width) - 1
-    shifts = [c * width for c in range(len(columns))]
+    width = max((2 * cube).bit_length(), iterations.bit_length()) + 1
+    guard = 1 << (width - 1)
     lanes = [0] * n
-    for cx, shift in zip(columns, shifts):
+    add_hi = add_lo = guards = 0
+    for c, (cx, k) in enumerate(zip(columns, bounds)):
+        shift = c * width
         for i, a in enumerate(cx):
             lanes[i] |= _doubled(a, n) << shift
+        add_hi |= (guard - cube - k) << shift
+        add_lo |= (guard - cube + k - 1) << shift
+        guards |= guard << shift
     ys = [_doubled(b, n) for b in cy]
-    rng = random.Random(seed)
-    hits = [0] * len(columns)
+    getrandbits = random.Random(seed).getrandbits
+    steps = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+    acc = 0
     for _ in range(iterations):
-        rng.shuffle(ys)
+        _shuffle(ys, getrandbits, steps)
         total = sum(map(operator.mul, ys, lanes))
-        for c, shift in enumerate(shifts):
-            if abs(((total >> shift) & mask) - cube) >= limits[c]:
-                hits[c] += 1
+        acc += ((total + add_hi) | ~(total + add_lo)) & guards
+    mask = (1 << width) - 1
+    hits = [acc >> (c * width + width - 1) & mask for c in range(len(columns))]
     return [(1 + h) / (1 + iterations) for h in hits]
+
+
+def _shuffle(ys: list, getrandbits, steps) -> None:
+    """Random.shuffle(ys), drawn from getrandbits exactly as CPython draws it.
+
+    Each step (i, i + 1, bits of i + 1) swaps ys[i] with ys[j], j <= i,
+    taken by rejection as Random._randbelow_with_getrandbits takes it.
+    """
+    for i, bound, k in steps:
+        j = getrandbits(k)
+        while j >= bound:
+            j = getrandbits(k)
+        ys[i], ys[j] = ys[j], ys[i]
 
 
 def _doubled(centered: float, n: int) -> int:

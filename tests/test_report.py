@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
 import pytest
 
@@ -229,6 +230,33 @@ class TestScatterSvg:
         # tick labels span the padded half-unit window, not a zero-width one
         assert "-0.050" in svg
         assert "1.050" in svg
+
+    def test_tick_labels_round_the_exact_value_once(self):
+        # The midpoints of these 3-decimal spans sit on a 4th-decimal tie up
+        # to the binary error of the endpoints, so only the exact value of
+        # lo + i/4 * (hi - lo) with a pad of exactly 1/20 may pick the digit
+        # (float arithmetic printed 0.940 and 1.345 for the two midpoints).
+        for lo, hi, middle in ((0.939, 0.94, "0.939"), (1.344, 1.347, "1.346")):
+            svg = render_scatter_svg([(lo, 1.0), (hi, 2.0)], "Density", "demo", [])
+            labels = re.findall(r'text-anchor="middle"[^>]*font-size="12">([^<]+)<', svg)
+            with localcontext() as exact:
+                exact.prec = 80  # enough for every sum and quotient here
+                low, high = Decimal(lo), Decimal(hi)
+                pad = (high - low) / 20
+                ticks = [low - pad + Decimal(i) / 4 * (high - low + 2 * pad) for i in range(5)]
+                rounded = [str(t.quantize(Decimal("0.001"), ROUND_HALF_EVEN)) for t in ticks]
+            assert labels == rounded
+            assert labels[2] == middle
+
+    def test_values_near_the_float_limit_stay_on_the_canvas(self):
+        # the padded axis end lies past the largest float; the plot is still
+        # laid out exactly: the smallest and largest values sit 1/22 of the
+        # axis from either end, and the labels print the exact ends
+        svg = render_scatter_svg([(1.75e308, 1.0), (0.0, 2.0)], "Strength", "demo", [])
+        assert 'cx="738.64"' in svg and 'cx="111.36"' in svg
+        assert "nan" not in svg and "inf" not in svg
+        whole, milli = divmod(int(1.75e308) * 21 * 50, 1000)  # 1.05 * max, in 1/1000
+        assert f">{whole}.{milli:03d}<" in svg
 
     def test_axis_tick_count(self):
         svg = render_scatter_svg(POINTS, "Density", "demo", [])

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -344,13 +343,64 @@ class TestPackedPermutationLoop:
         assert abs(sum(a * b for a, b in zip(cx, near))) == observed - 0.25
         assert 1e-9 * observed > 0.25
 
-        class TwoSwaps(random.Random):
+        class TwoSwaps(random.Random):  # the float oracle shuffles through Random
             def shuffle(self, v):
                 swap(v)
 
         monkeypatch.setattr(random, "Random", TwoSwaps)
+        monkeypatch.setattr(stats, "_shuffle", lambda ys, getrandbits, steps: swap(ys))
         packed = stats._permutation_pvalues([cx], cy, 1000, 0)
         assert packed == permutation_pvalues_float([cx], cy, 1000, 0) == [1.0]
+
+    @pytest.mark.parametrize("iterations", [1023, 1024, 2047, 4095, 4096])
+    def test_hit_counts_stay_in_their_fields(self, iterations):
+        # At n = 4, bits(2n^3) = 8 but bits(iterations) is 10 to 13, so the
+        # iteration count sets the field width.  The middle column has dot 0,
+        # so every shuffle is a hit; a count spilling into a neighbouring
+        # field would change that neighbour's p-value.
+        reviews = [1, 2, 3, 4]
+        columns = []
+        for values in ([2, 1, 4, 3], [1, 2, 2, 1], [4, 1, 3, 2]):
+            cx, cy = stats._paired(values, reviews)
+            columns.append(cx)
+        assert sum(a * b for a, b in zip(columns[1], cy)) == 0
+        packed = stats._permutation_pvalues(columns, cy, iterations, 5)
+        assert packed == permutation_pvalues_float(columns, cy, iterations, 5)
+        assert packed[1] == 1.0
+
+    def test_integer_bound_edges(self):
+        # For rho = +1 and -1 no shuffle exceeds |observed dot|: a hit needs
+        # the field to equal hi_c (or lo_c) exactly.  The last two columns
+        # have |4*dot| = 25, and shuffles reach 24 on either side: one below
+        # ceil(limit) = 25, so they must not count.
+        reviews = [0, 0, 0, 0, 1, 2]
+        near = [0, 0, 0, 1, 0, 2]
+        columns = []
+        for values in (reviews, [-r for r in reviews], near, [-v for v in near]):
+            cx, cy = stats._paired(values, reviews)
+            columns.append(cx)
+        assert sum(a * b for a, b in zip(columns[2], cy)) == 6.25
+        packed = stats._permutation_pvalues(columns, cy, 5000, 11)
+        assert packed == permutation_pvalues_float(columns, cy, 5000, 11)
+        assert packed[0] == packed[1] > 1 / 5001  # some shuffles did hit
+
+
+class TestShuffle:
+    def test_same_stream_as_random_shuffle(self):
+        # _shuffle must consume a Random's getrandbits exactly as
+        # Random.shuffle does.  If this fails on some Python version, its
+        # shuffle stream changed there, and every permutation p-value would
+        # drift from the float oracle's and from earlier releases.
+        for seed in (0, 1, 7, 2**31):
+            for n in range(2, 65):
+                steps = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+                ours, reference = random.Random(seed), random.Random(seed)
+                inline, shuffled = list(range(n)), list(range(n))
+                for _ in range(20):
+                    stats._shuffle(inline, ours.getrandbits, steps)
+                    reference.shuffle(shuffled)
+                    assert inline == shuffled, (seed, n)
+                assert ours.getrandbits(64) == reference.getrandbits(64)
 
 
 def _demo_rows() -> list[EpisodeMetrics]:
@@ -385,9 +435,10 @@ def _demo_ratings() -> RatingsTable:
     return table
 
 
-def _assert_rows_match_standalone(rows, ratings, permutations, seed):
+def _assert_rows_match_standalone(rows, ratings, permutations, seed, report=None):
     """Every tested row's permutation p equals a lone call with the same seed."""
-    report = correlate_all(rows, ratings, permutations=permutations, seed=seed)
+    if report is None:
+        report = correlate_all(rows, ratings, permutations=permutations, seed=seed)
     usable = [row for row in sorted(rows, key=lambda r: r.key) if row.key in ratings]
     reviews = [ratings.get(row.key) for row in usable]
     for column, result in zip(METRICS, report.results):
@@ -482,15 +533,16 @@ class TestCorrelateAll:
 
     def test_one_shuffle_stream_per_series(self, monkeypatch):
         shuffles = []
+        shuffle = stats._shuffle
 
-        class CountingRandom(random.Random):
-            def shuffle(self, x):
-                shuffles.append(len(x))
-                super().shuffle(x)
+        def counting_shuffle(ys, getrandbits, steps):
+            shuffles.append(len(ys))
+            shuffle(ys, getrandbits, steps)
 
-        monkeypatch.setattr(stats, "random", SimpleNamespace(Random=CountingRandom))
-        correlate_all(_demo_rows(), _demo_ratings(), permutations=1000, seed=7)
+        monkeypatch.setattr(stats, "_shuffle", counting_shuffle)
+        report = correlate_all(_demo_rows(), _demo_ratings(), permutations=1000, seed=7)
         assert len(shuffles) == 1000
+        _assert_rows_match_standalone(_demo_rows(), _demo_ratings(), 1000, 7, report)
 
     def test_permutation_floor_applies_to_tested_rows(self):
         with pytest.raises(DomainError):
