@@ -14,7 +14,6 @@ from .graph import (
     SegmentGraph,
     add_interaction,
     aggregate_segments,
-    connected_components,
 )
 from .ingest import (
     DatasetManifest,
@@ -31,6 +30,7 @@ from .metrics import (
     MetricsConfig,
     active_nodes,
     compute_episode_metrics,
+    connected_components,
     degree_vector,
     density,
     efficiency_metric,

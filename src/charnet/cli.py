@@ -38,7 +38,7 @@ from .report import (
     render_metrics_markdown,
     render_scatter_svg,
 )
-from .stats import correlate_all
+from .stats import check_permutations, correlate_all
 
 KNOWN_FORMATS = ("csv", "md", "svg")
 
@@ -57,8 +57,8 @@ def _check_flags(args: argparse.Namespace) -> tuple[str, ...]:
         raise DomainError(f"--eigen-tol must be a finite number > 0, got {args.eigen_tol:g}")
     if args.eigen_max_iter < 1:
         raise DomainError(f"--eigen-max-iter must be at least 1, got {args.eigen_max_iter}")
-    if args.permutations is not None and args.permutations < 1000:
-        raise DomainError(f"permutation test needs >= 1000 iterations, got {args.permutations}")
+    if args.permutations is not None:
+        check_permutations(args.permutations)
     return formats
 
 
@@ -181,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = MetricsConfig()
     descriptions = {
         "validate": "check the dataset and write the manifest",
         "metrics": "write per-series metric tables",
@@ -196,11 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--efficiency",
             choices=EFFICIENCY_MODES,
-            default="component-mean",
-            help="efficiency column mode (default: component-mean)",
+            default=defaults.efficiency_mode,
+            help=f"efficiency column mode (default: {defaults.efficiency_mode})",
         )
-        cmd.add_argument("--eigen-tol", type=float, default=1e-10, help="power-iteration tolerance (finite, > 0)")
-        cmd.add_argument("--eigen-max-iter", type=int, default=10000, help="power-iteration cap (>= 1)")
+        cmd.add_argument(
+            "--eigen-tol", type=float, default=defaults.eigen_tol, help="power-iteration tolerance (finite, > 0)"
+        )
+        cmd.add_argument(
+            "--eigen-max-iter", type=int, default=defaults.eigen_max_iter, help="power-iteration cap (>= 1)"
+        )
         cmd.add_argument(
             "--permutations",
             type=int,

@@ -4,14 +4,14 @@ Two graph shapes share one edge representation: a SegmentGraph covers a
 ten-scene window of an episode, and an EpisodeGraph is the weight-summed
 union of all segments of that episode.  Edges live under canonically
 ordered (sorted) name pairs so undirected lookups and serialization are
-orientation-insensitive.
+orientation-insensitive.  This module only builds graphs; metrics answers
+every question about their shape, components included, on one index.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -129,38 +129,3 @@ def aggregate_segments(segments: list[SegmentGraph], key: EpisodeKey) -> Episode
         if weight == math.inf:  # positive finite weights can only overflow upward
             raise NonPositiveWeightError(f"episode {key}: weights of {a}-{b} sum past the float range")
     return episode
-
-
-def adjacency(graph) -> dict[CharacterId, set[CharacterId]]:
-    """Neighbor sets for every node; isolated nodes map to empty sets."""
-    neighbors: dict[CharacterId, set[CharacterId]] = {v: set() for v in graph.nodes}
-    for a, b in graph.edges:
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
-    return neighbors
-
-
-def connected_components(graph) -> list[set[CharacterId]]:
-    """Disjoint node sets joined by edge paths, singletons included.
-
-    Components are listed in order of their smallest member, keeping the
-    result stable under hash randomization.
-    """
-    neighbors = adjacency(graph)
-    seen: set[CharacterId] = set()
-    parts: list[set[CharacterId]] = []
-    for start in sorted(graph.nodes):
-        if start in seen:
-            continue
-        part = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    part.add(v)
-                    queue.append(v)
-        parts.append(part)
-    return parts

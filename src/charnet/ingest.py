@@ -109,9 +109,14 @@ def _text(value, what: str, where: str) -> str:
     return value
 
 
+def _has_control(text: str) -> bool:
+    """True if text holds a C0 or C1 control character or DEL, which no report line may hold."""
+    return any(ord(ch) < 32 or 127 <= ord(ch) < 160 for ch in text)
+
+
 def _file_safe(series: str, where: str) -> None:
     # report file names start with the series name: no path separators, no control characters
-    if any(ch in "/\\" or ord(ch) < 32 or 127 <= ord(ch) < 160 for ch in series):
+    if "/" in series or "\\" in series or _has_control(series):
         raise FormatError(
             f"{where}: series {series!r} must not contain '/', '\\' or control characters"
         )
@@ -130,6 +135,8 @@ def _character(names: dict[str, str], raw: str) -> str:
     name = names.get(raw)
     if name is None:
         name = normalize_character(raw)
+        if _has_control(name):
+            raise FormatError(f"episode file: character name {name!r} must not contain control characters")
         _encodable(name, "character name")
         names[raw] = name
     return name

@@ -17,7 +17,8 @@ gives every node its integer histogram of hop distances: all balls grow
 together, one hop per round, and the popcount of a ball's new bits counts
 the nodes at that distance.  Harmonic centrality reads a node's histogram;
 component-mean efficiency pools its members' histograms; neighborhood
-efficiency runs the same traversal masked to each neighborhood.  A row
+efficiency runs the same traversal masked to each neighborhood;
+connected_components needs no histogram and grows one part at a time.  A row
 indexes its episode once: compute_episode_metrics lends that index to the
 public functions it calls (_index), for that graph object only and until
 the row is done, so any other call indexes its graph afresh.
@@ -39,7 +40,6 @@ from .errors import (
     NoEdgesError,
 )
 from .graph import CharacterId, EpisodeGraph, EpisodeKey
-from .graph import connected_components  # noqa: F401  (perfbench/tracer.py wraps metrics.connected_components)
 
 
 @dataclass(frozen=True)
@@ -212,6 +212,27 @@ def _hop_counts(nbr: list[int], within: int) -> tuple[list[int], list[list[int]]
         balls.update(grown)
         growing = grown
     return list(balls.values()), list(counts.values())
+
+
+def connected_components(graph) -> list[set[CharacterId]]:
+    """Disjoint node sets joined by edge paths, singletons included, in order
+    of their smallest member.  Each part grows from the lowest unclaimed bit
+    position over the neighbor bitsets, one hop per round."""
+    index = _index(graph)
+    names, nbr = list(index.position), index.nbr
+    parts = [{v} for v in graph.nodes if v not in index.position]
+    unclaimed = (1 << len(nbr)) - 1
+    while unclaimed:
+        part = frontier = unclaimed & -unclaimed
+        while frontier:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= nbr[i]
+            frontier = reach & ~part
+            part |= frontier
+        unclaimed ^= part
+        parts.append({names[i] for i in _bits(part)})
+    return sorted(parts, key=min)
 
 
 def _reciprocal(counts: list[int]) -> float:

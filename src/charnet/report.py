@@ -150,6 +150,10 @@ def _tick_label(axis: tuple[int, int, int], i: int) -> str:
     return f"{'-' if num < 0 else ''}{whole}.{milli:03d}"
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_scatter_svg(
     points: list[tuple[float, float]],
     metric_label: str,
@@ -171,7 +175,7 @@ def render_scatter_svg(
     def sy(y: float) -> float:
         return top + (1 - _share(y, y_range)) * plot_h
 
-    title = f"{metric_label} vs Review for {series_label}"
+    title = _xml_text(f"{metric_label} vs Review for {series_label}")
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}"'
         f' width="{SVG_WIDTH}" height="{SVG_HEIGHT}">',
@@ -205,7 +209,7 @@ def render_scatter_svg(
         )
     lines.append(
         f'<text x="{left + plot_w / 2:.2f}" y="{SVG_HEIGHT - 18:.2f}" text-anchor="middle"'
-        f' font-family="sans-serif" font-size="14">{metric_label}</text>'
+        f' font-family="sans-serif" font-size="14">{_xml_text(metric_label)}</text>'
     )
     lines.append(
         f'<text x="22" y="{top + plot_h / 2:.2f}" text-anchor="middle"'

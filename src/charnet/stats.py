@@ -144,25 +144,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        step = d * c
-        h *= step
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):  # one Lentz step per coefficient
+            d = 1.0 + aa * d
+            if abs(d) < _BETA_FPMIN:
+                d = _BETA_FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _BETA_FPMIN:
+                c = _BETA_FPMIN
+            d = 1.0 / d
+            step = d * c
+            h *= step
         if abs(step - 1.0) < _BETA_EPS:
             return h
     raise ConvergenceError(
@@ -209,6 +202,12 @@ def spearman_pvalue(rho: float, n: int) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t_squared))
 
 
+def check_permutations(iterations: int) -> None:
+    """The one floor on permutation counts, for the CLI and both entry points."""
+    if iterations < 1000:
+        raise DomainError(f"permutation test needs >= 1000 iterations, got {iterations}")
+
+
 def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]:
     """Seeded permutation p-values of every centered column against cy.
 
@@ -233,8 +232,7 @@ def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]
     column's hit in its guard bit, and the hits add up there: a count of
     at most `iterations` fits in the bits up to the next field's guard.
     """
-    if iterations < 1000:
-        raise DomainError(f"permutation test needs >= 1000 iterations, got {iterations}")
+    check_permutations(iterations)
     observed = [abs(sum(a * b for a, b in zip(cx, cy))) for cx in columns]
     # 4*dot is an integer and scaling a float by 4 is exact, so
     # |dot| >= threshold is |4*dot| >= ceil(4*threshold) with no rounding.
@@ -287,8 +285,7 @@ def _doubled(centered: float, n: int) -> int:
 
 def permutation_pvalue(x, y, iterations: int, rng_seed: int) -> float:
     """Share of seeded permutations of y at least as extreme as observed."""
-    if iterations < 1000:  # reported ahead of any input error
-        raise DomainError(f"permutation test needs >= 1000 iterations, got {iterations}")
+    check_permutations(iterations)  # reported ahead of any input error
     cx, cy = _paired(x, y)
     return _permutation_pvalues([cx], cy, iterations, rng_seed)[0]
 

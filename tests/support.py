@@ -1,16 +1,21 @@
-"""Shared test fixtures: reference-table loading and synthetic datasets."""
+"""Shared test fixtures: reference-table loading, synthetic datasets, and
+child interpreters."""
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 from charnet.graph import EpisodeKey, SegmentGraph, add_interaction
 from charnet.ingest import serialize_episode
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
 
 # the shipped reproduction script owns the reference tables and their loaders
 from reproduce_correlations import (  # noqa: E402
@@ -20,6 +25,19 @@ from reproduce_correlations import (  # noqa: E402
     load_reference as load_reference_correlations,
     load_series as load_reference_metrics,
 )
+
+
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports charnet from this
+    checkout's src/, whether or not charnet is installed."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
 
 
 CAST = [

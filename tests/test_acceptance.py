@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -48,15 +46,15 @@ from oracles import (
 )
 from support import (
     DATA_DIR,
+    REPO_ROOT,
     REFERENCE_COLUMNS,
     SERIES,
     build_demo_dataset,
     load_reference_correlations,
     load_reference_metrics,
     random_segments,
+    run_python,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _graph_of(edges: dict, key: EpisodeKey) -> EpisodeGraph:
@@ -285,21 +283,8 @@ def test_criterion_6_pipeline_determinism(tmp_path):
     trees = []
     for run in ("first", "second"):
         out = tmp_path / run
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "charnet",
-                "all",
-                "--segments",
-                str(segments),
-                "--ratings",
-                str(ratings),
-                "--out",
-                str(out),
-            ],
-            capture_output=True,
-            text=True,
+        result = run_python(
+            "-m", "charnet", "all", "--segments", str(segments), "--ratings", str(ratings), "--out", str(out),
             cwd=REPO_ROOT,
         )
         assert result.returncode == 0, result.stderr

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -19,7 +20,7 @@ from charnet.ingest import serialize_episode
 from charnet.metrics import METRIC_BY_ATTR
 from charnet.report import METRICS_CSV_HEADER
 
-from support import build_demo_dataset, build_messy_dataset, random_segments
+from support import build_demo_dataset, build_messy_dataset, random_segments, run_python
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,17 @@ class TestValidate:
         assert code == 1
         manifest = (tmp_path / "out" / "manifest.txt").read_text()
         assert "warning:" in manifest
+
+    def test_line_break_in_name_exits_two(self, tmp_path, capsys):
+        segments, ratings = build_demo_dataset(tmp_path / "data", episodes=1)
+        path = next(segments.glob("*.json"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["segments"][0]["nodes"].append("Lone\nepisodes: 0, warnings: 0")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("validate", (segments, ratings), out) == 2
+        assert "must not contain control characters" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
 
     def test_computes_no_metrics(self, clean_dataset, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -105,21 +117,8 @@ class TestValidate:
     @staticmethod
     def _validate_in_child(segments, ratings, out, command="validate"):
         """`charnet <command>` (validate by default) in a fresh interpreter, so a crash shows as one."""
-        return subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "charnet",
-                command,
-                "--segments",
-                str(segments),
-                "--ratings",
-                str(ratings),
-                "--out",
-                str(out),
-            ],
-            capture_output=True,
-            text=True,
+        return run_python(
+            "-m", "charnet", command, "--segments", str(segments), "--ratings", str(ratings), "--out", str(out)
         )
 
     def test_undecodable_episode_exits_two(self, clean_dataset, tmp_path):
@@ -476,6 +475,18 @@ class TestAll:
             assert len(scatters) == 12
         assert len(names) == 1 + 2 * (2 + 2 + 12)
 
+    def test_svg_text_is_escaped(self, tmp_path, capsys):
+        series = "Tom & Jerry <3"
+        dataset = build_demo_dataset(tmp_path / "data", series=(series,))
+        out = tmp_path / "out"
+        assert run_cli("all", dataset, out) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert len(svgs) == 12
+        for path in svgs:
+            column = METRIC_BY_ATTR[path.name[len(series) + 1 : -len("_scatter.svg")]]
+            texts = minidom.parse(str(path)).getElementsByTagName("text")
+            assert texts[0].firstChild.data == f"{column.label} vs Review for {series}"
+
     def test_messy_dataset_still_writes_but_flags(self, messy_dataset, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli("all", messy_dataset, out)
@@ -532,23 +543,9 @@ class TestAll:
 def test_module_entry_point(clean_dataset, tmp_path):
     segments, ratings = clean_dataset
     out = tmp_path / "out"
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "charnet",
-            "metrics",
-            "--segments",
-            str(segments),
-            "--ratings",
-            str(ratings),
-            "--out",
-            str(out),
-            "--format",
-            "csv",
-        ],
-        capture_output=True,
-        text=True,
+    result = run_python(
+        "-m", "charnet", "metrics", "--segments", str(segments), "--ratings", str(ratings), "--out", str(out),
+        "--format", "csv",
     )
     assert result.returncode == 0
     assert "wrote" in result.stdout

@@ -1,14 +1,16 @@
-"""Graph construction, aggregation, and traversal."""
+"""Graph construction and aggregation, and the traversals read off them."""
 
 from __future__ import annotations
 
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charnet import metrics
 from charnet.errors import (
     EmptyEpisodeError,
     InvariantError,
@@ -22,10 +24,9 @@ from charnet.graph import (
     add_interaction,
     aggregate_segments,
     canonical_pair,
-    connected_components,
     normalize_character,
 )
-from charnet.metrics import harmonic_vector
+from charnet.metrics import connected_components, harmonic_vector
 
 from oracles import exact_harmonic, floyd_warshall
 from support import random_segments
@@ -284,6 +285,41 @@ class TestComponents:
             for v in names:
                 same = component_of[u] == component_of[v]
                 assert same == (dist[(u, v)] < math.inf)
+
+    def test_matches_networkx_on_random_graphs(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(0, 30)
+            names = [f"V{i:02d}" for i in range(n)]
+            rng.shuffle(names)  # insertion order must not matter
+            g = EpisodeGraph(key=KEY)
+            p = rng.choice([0.0, 0.03, 0.08, 0.2, 0.5])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < p:
+                        add_interaction(g, names[i], names[j], 1.0)
+            g.nodes.update(v for v in names if rng.random() < 0.6)  # some isolated
+            reference = nx.Graph(list(g.edges))
+            reference.add_nodes_from(g.nodes)
+            parts = connected_components(g)
+            assert sorted(map(sorted, parts)) == sorted(map(sorted, nx.connected_components(reference)))
+            assert [min(part) for part in parts] == sorted(min(part) for part in parts)
+
+    def test_reads_no_hop_histogram(self, monkeypatch):
+        calls = []
+        hop_counts = metrics._hop_counts
+
+        def counting(nbr, within):
+            calls.append(within)
+            return hop_counts(nbr, within)
+
+        monkeypatch.setattr(metrics, "_hop_counts", counting)
+        g = graph_from({("A", "B"): 1.0, ("B", "C"): 1.0, ("D", "E"): 1.0})
+        g.nodes.add("F")
+        assert connected_components(g) == [{"A", "B", "C"}, {"D", "E"}, {"F"}]
+        assert calls == []
+        harmonic_vector(g)  # the counter does see the metrics' traversal
+        assert calls == [0b11111]
 
 
 def test_canonical_pair_sorts():

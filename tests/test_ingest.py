@@ -174,6 +174,28 @@ class TestParseSegmentFile:
         with pytest.raises(FormatError, match="not encodable as UTF-8"):
             parse_segment_file(minimal_file(**overrides))
 
+    @pytest.mark.parametrize("name", ["Lone\nepisodes: 0, warnings: 0", "Lo\x85ne"])
+    @pytest.mark.parametrize("place", ["nodes", "edge endpoint"])
+    def test_control_character_in_name(self, name, place):
+        # a line break in a name would forge lines of the manifest
+        segment = {"index": 0, "edges": [{"a": "A", "b": "B", "w": 1.0}]}
+        if place == "nodes":
+            segment["nodes"] = [name]
+        else:
+            segment["edges"].append({"a": "B", "b": name, "w": 1.0})
+        with pytest.raises(FormatError, match="must not contain control characters"):
+            parse_segment_file(minimal_file(segments=[segment]))
+
+    @pytest.mark.parametrize("place", ["nodes", "edge endpoint"])
+    def test_bare_line_break_is_empty_after_trimming(self, place):
+        segment = {"index": 0, "edges": [{"a": "A", "b": "B", "w": 1.0}]}
+        if place == "nodes":
+            segment["nodes"] = ["\n"]
+        else:
+            segment["edges"].append({"a": "B", "b": "\n", "w": 1.0})
+        with pytest.raises(InvariantError, match="segment 0: character name is empty after trimming"):
+            parse_segment_file(minimal_file(segments=[segment]))
+
     def test_surrogate_pair_escape_accepted(self):
         parsed = parse_segment_file(minimal_file(series="s\U0001f600"))
         assert parsed.key.series == "s\U0001f600"
