@@ -14,7 +14,7 @@ import argparse
 import csv
 from pathlib import Path
 
-from charnet import EpisodeKey, EpisodeMetrics, RatingsTable, correlate_all
+from charnet import EpisodeKey, EpisodeMetrics, correlate_all
 from charnet.metrics import METRIC_BY_ATTR, METRICS
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "reference"
@@ -23,13 +23,13 @@ COLUMNS = tuple(column.attr for column in METRICS[1:])  # active_nodes is not ta
 SIGN_FLIPPED = {("hoc", "harmonic_std")}
 
 
-def load_series(series: str) -> tuple[list[EpisodeMetrics], RatingsTable]:
+def load_series(series: str) -> tuple[list[EpisodeMetrics], dict[EpisodeKey, float]]:
     """Reference per-episode rows as EpisodeMetrics plus their review scores.
 
     The got table repeats episode 1; the first occurrence is kept.
     """
     rows: list[EpisodeMetrics] = []
-    ratings = RatingsTable()
+    ratings: dict[EpisodeKey, float] = {}
     parse = {attr: int if METRIC_BY_ATTR[attr].integer else float for attr in COLUMNS}
     with open(DATA_DIR / f"{series}_metrics.csv", newline="", encoding="utf-8") as handle:
         for record in csv.DictReader(handle):
@@ -39,7 +39,7 @@ def load_series(series: str) -> tuple[list[EpisodeMetrics], RatingsTable]:
                 continue
             values = {attr: parse[attr](record[attr]) for attr in COLUMNS}
             rows.append(EpisodeMetrics(key=key, ordinal=episode, **values))
-            ratings.ratings[key] = float(record["review"])
+            ratings[key] = float(record["review"])
     return rows, ratings
 
 

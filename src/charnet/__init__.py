@@ -17,7 +17,6 @@ from .graph import (
 )
 from .ingest import (
     DatasetManifest,
-    RatingsTable,
     load_dataset,
     parse_ratings_csv,
     parse_segment_file,
@@ -25,7 +24,6 @@ from .ingest import (
 )
 from .metrics import (
     METRICS,
-    CentralityVector,
     EpisodeMetrics,
     MetricsConfig,
     active_nodes,
@@ -44,7 +42,6 @@ from .metrics import (
 from .stats import (
     CorrelationReport,
     CorrelationResult,
-    RankVector,
     correlate_all,
     permutation_pvalue,
     rank_with_ties,
@@ -63,13 +60,11 @@ __all__ = [
     "aggregate_segments",
     "connected_components",
     "DatasetManifest",
-    "RatingsTable",
     "load_dataset",
     "parse_ratings_csv",
     "parse_segment_file",
     "serialize_episode",
     "METRICS",
-    "CentralityVector",
     "EpisodeMetrics",
     "MetricsConfig",
     "active_nodes",
@@ -85,7 +80,6 @@ __all__ = [
     "transitivity",
     "CorrelationReport",
     "CorrelationResult",
-    "RankVector",
     "correlate_all",
     "permutation_pvalue",
     "rank_with_ties",

@@ -47,25 +47,6 @@ class ParsedEpisode:
 
 
 @dataclass
-class RatingsTable:
-    """Review score per episode, on the 1-10 scale."""
-
-    ratings: dict[EpisodeKey, float] = field(default_factory=dict)
-
-    def get(self, key: EpisodeKey) -> float | None:
-        return self.ratings.get(key)
-
-    def __contains__(self, key: EpisodeKey) -> bool:
-        return key in self.ratings
-
-    def __len__(self) -> int:
-        return len(self.ratings)
-
-    def keys(self) -> list[EpisodeKey]:
-        return sorted(self.ratings)
-
-
-@dataclass
 class ManifestEntry:
     """Validation summary for one episode."""
 
@@ -243,8 +224,9 @@ def serialize_episode(key: EpisodeKey, segments: list[SegmentGraph]) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def parse_ratings_csv(data: bytes | str) -> RatingsTable:
-    """Parse the ratings CSV (header: series,season,episode,rating)."""
+def parse_ratings_csv(data: bytes | str) -> dict[EpisodeKey, float]:
+    """Parse the ratings CSV (header: series,season,episode,rating) into
+    one review score per episode, on the 1-10 scale."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8-sig")  # spreadsheets often prepend a BOM
@@ -267,7 +249,7 @@ def parse_ratings_csv(data: bytes | str) -> RatingsTable:
             f"{','.join(RATINGS_HEADER)!r}, got {','.join(header)!r}"
         )
 
-    table = RatingsTable()
+    ratings: dict[EpisodeKey, float] = {}
     for number, row in filled[1:]:
         if len(row) != len(RATINGS_HEADER):
             raise FormatError(
@@ -277,6 +259,9 @@ def parse_ratings_csv(data: bytes | str) -> RatingsTable:
         if not series_cell:
             raise FormatError(f"ratings CSV line {number}: series is empty")
         _file_safe(series_cell, f"ratings CSV line {number}")
+        for cell in (season_cell, episode_cell, rating_cell):
+            if "_" in cell or not cell.isascii():  # int() and float() read "1_0" and non-ASCII digits
+                raise FormatError(f"ratings CSV line {number}: {cell!r} is not a plain ASCII number")
         try:
             season = int(season_cell)
             episode = int(episode_cell)
@@ -293,15 +278,15 @@ def parse_ratings_csv(data: bytes | str) -> RatingsTable:
                 f"ratings CSV line {number}: rating {rating_cell} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
             )
         key = EpisodeKey(series=series_cell, season=season, episode=episode)
-        if key in table.ratings:
+        if key in ratings:
             raise DuplicateKeyError(f"ratings CSV line {number}: duplicate rating for {key}")
-        table.ratings[key] = rating
-    return table
+        ratings[key] = rating
+    return ratings
 
 
 def load_dataset(
     segment_files, ratings_file
-) -> tuple[list[EpisodeGraph], RatingsTable, DatasetManifest]:
+) -> tuple[list[EpisodeGraph], dict[EpisodeKey, float], DatasetManifest]:
     """Parse and aggregate a whole dataset.
 
     Duplicate episode keys keep their first file and warn.  Episodes are
@@ -358,7 +343,7 @@ def load_dataset(
             )
         )
 
-    for key in ratings.keys():
+    for key in sorted(ratings):
         if key not in kept:
             manifest.dataset_warnings.append(f"rating without episode: {key}")
     return episodes, ratings, manifest

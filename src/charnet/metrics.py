@@ -5,11 +5,13 @@ characters never enter a denominator.  Topology metrics treat the graph as
 unweighted; edge weights feed node strength only.
 
 No value depends on the order in which nodes or pairs are visited: hop
-distances are counted in integers and rounded once, and float sums go
-through math.fsum.  So mathematically equal values are equal floats, and
-renaming characters changes nothing.  Eigenvector centrality is the
-exception: power iteration stops within its tolerance, in sorted node
-order, so it is only identical across runs and hash seeds.
+distances and eigenvector walk counts are counted in integers and rounded
+once, float sums go through math.fsum, and a constant score vector has a
+std of exactly 0.  So mathematically equal values are equal floats, and
+renaming characters changes nothing.  Eigenvector centrality is still only
+exact to its tolerance, where power iteration stops.
+
+Score vectors are plain dicts, one float per active node.
 
 Every topology metric reads an index of the active nodes (_Index), with
 neighbor sets as int bitsets, and one all-sources traversal (_hop_counts)
@@ -49,14 +51,6 @@ class MetricsConfig:
     efficiency_mode: str = "component-mean"
     eigen_tol: float = 1e-10
     eigen_max_iter: int = 10000
-
-
-@dataclass
-class CentralityVector:
-    """One score per active node."""
-
-    kind: str  # degree | strength | harmonic | eigenvector
-    scores: dict[CharacterId, float]
 
 
 @dataclass
@@ -123,15 +117,13 @@ def density(graph) -> float:
     return 2.0 * len(graph.edges) / (n * (n - 1))
 
 
-def node_strengths(graph) -> CentralityVector:
+def node_strengths(graph) -> dict[CharacterId, float]:
     """Total conversation seconds per active node (sum of incident weights)."""
     incident: dict[CharacterId, list[float]] = {}
     for pair, weight in graph.edges.items():
         for v in pair:
             incident.setdefault(v, []).append(weight)
-    return CentralityVector(
-        "strength", {v: math.fsum(weights) for v, weights in incident.items()}
-    )
+    return {v: math.fsum(weights) for v, weights in incident.items()}
 
 
 class _Index:
@@ -303,28 +295,24 @@ def transitivity(graph) -> float:
     return triangle_paths / triads
 
 
-def degree_vector(graph) -> CentralityVector:
+def degree_vector(graph) -> dict[CharacterId, float]:
     """Unweighted edge count per active node."""
     index = _index(graph)
-    return CentralityVector(
-        "degree", {v: float(index.nbr[i].bit_count()) for v, i in index.position.items()}
-    )
+    return {v: float(index.nbr[i].bit_count()) for v, i in index.position.items()}
 
 
-def harmonic_vector(graph) -> CentralityVector:
+def harmonic_vector(graph) -> dict[CharacterId, float]:
     """Sum of reciprocal hop distances from every other active node.
 
     Unreachable pairs contribute 0; no normalization by n - 1.
     """
     index = _index(graph)
-    return CentralityVector(
-        "harmonic", dict(zip(index.position, map(_reciprocal, index.hops[1])))
-    )
+    return dict(zip(index.position, map(_reciprocal, index.hops[1])))
 
 
 def eigenvector_vector(
     graph, tol: float = 1e-10, max_iter: int = 10000
-) -> CentralityVector:
+) -> dict[CharacterId, float]:
     """Dominant eigenvector of the unweighted adjacency over active nodes.
 
     Power iteration from the uniform positive vector, normalized to unit
@@ -332,37 +320,50 @@ def eigenvector_vector(
     less than tol in max-norm.  Iterating with A + I instead of A leaves
     the eigenvectors unchanged but keeps bipartite graphs, whose extreme
     eigenvalues tie in magnitude, from oscillating forever.
+
+    The iterates are (A + I)^k 1, walk counts kept as exact integers
+    (Bonacich, J. Math. Sociol. 2(1), 1972), so no visiting order can
+    show in them.  Past 120 bits every count is shifted right by one
+    common amount that keeps 60; the shift acts on each count alone.
     """
     index = _index(graph)
     nbr = index.nbr
     if not nbr:
         raise NoEdgesError("eigenvector centrality needs at least one edge")
-    neighbors = [_bits(mask) for mask in nbr]
+    # an active node's closed neighborhood has 2 or more members, so each getter returns a tuple
+    closed = [operator.itemgetter(i, *_bits(mask)) for i, mask in enumerate(nbr)]
 
     n = len(nbr)
+    y = [1] * n
     x = [1.0 / math.sqrt(n)] * n
     delta = math.inf
     for _ in range(max_iter):
-        y = [xi + sum(map(x.__getitem__, nb)) for xi, nb in zip(x, neighbors)]
-        norm = math.sqrt(sum(map(operator.mul, y, y)))
-        y = [v / norm for v in y]
-        delta = max(map(abs, map(operator.sub, y, x)))
-        x = y
+        y = [sum(get(y)) for get in closed]
+        top = max(y).bit_length()
+        if top > 120:
+            y = [v >> (top - 60) for v in y]
+        norm = math.sqrt(sum(v * v for v in y))
+        step = [v / norm for v in y]
+        delta = max(map(abs, map(operator.sub, step, x)))
+        x = step
         if delta < tol:
-            return CentralityVector("eigenvector", dict(zip(index.position, x)))
+            return dict(zip(index.position, x))
     raise ConvergenceError(
         f"power iteration missed tol={tol:g} after {max_iter} iterations (last delta {delta:.3e})"
     )
 
 
-def summarize(vec: CentralityVector) -> tuple[float, float]:
-    """(max, population std) of a centrality vector."""
-    if not vec.scores:
-        raise EmptyVectorError(f"cannot summarize an empty {vec.kind} vector")
-    values = list(vec.scores.values())
+def summarize(scores: dict[CharacterId, float]) -> tuple[float, float]:
+    """(max, population std) of one score per node; a constant vector's std is exactly 0."""
+    if not scores:
+        raise EmptyVectorError("cannot summarize an empty score vector")
+    values = list(scores.values())
+    top = max(values)
+    if min(values) == top:  # fsum(values) / n can miss the value by an ulp
+        return top, 0.0
     mean = math.fsum(values) / len(values)
     variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
-    return max(values), math.sqrt(variance)
+    return top, math.sqrt(variance)
 
 
 def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = None) -> EpisodeMetrics:

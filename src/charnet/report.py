@@ -9,7 +9,8 @@ settings can never be byte-identical.
 
 from __future__ import annotations
 
-from .ingest import DatasetManifest, RatingsTable
+from .graph import EpisodeKey
+from .ingest import DatasetManifest
 from .metrics import METRICS, EpisodeMetrics
 from .stats import CorrelationReport
 
@@ -33,7 +34,7 @@ def _cell(row: EpisodeMetrics, column) -> str:
     return str(int(value)) if column.integer else fmt_real(value)
 
 
-def _metric_rows(rows: list[EpisodeMetrics], ratings: RatingsTable) -> list[list[str]]:
+def _metric_rows(rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float]) -> list[list[str]]:
     rendered = []
     for row in sorted(rows, key=lambda r: r.key):
         review = ratings.get(row.key)
@@ -59,14 +60,14 @@ def _markdown(header: list[str], rows: list[list[str]], notes: list[str]) -> str
 
 
 def render_metrics_csv(
-    rows: list[EpisodeMetrics], ratings: RatingsTable, echo: list[str]
+    rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float], echo: list[str]
 ) -> str:
     """One CSV row per episode, fixed column order, 3-decimal reals."""
     return _csv(METRICS_CSV_HEADER, _metric_rows(rows, ratings), echo)
 
 
 def render_metrics_markdown(
-    rows: list[EpisodeMetrics], ratings: RatingsTable, echo: list[str]
+    rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float], echo: list[str]
 ) -> str:
     """Pipe-table mirror of the metrics CSV."""
     return _markdown(METRICS_CSV_HEADER, _metric_rows(rows, ratings), echo)
@@ -87,7 +88,7 @@ def _correlation_footer(report: CorrelationReport, echo: list[str]) -> list[str]
         f"excluded (no rating): {report.excluded}",
         f"duplicate episodes dropped at load: {report.dedup_dropped}",
         f"efficiency mode: {report.efficiency_mode}",
-        f"std convention: {report.std_convention}",
+        "std convention: population",
         "stars: ** p < 0.01, * p < 0.05 (strict thresholds, no exceptions)",
     ]
     for result in report.results:

@@ -23,20 +23,12 @@ from .errors import (
     LengthMismatchError,
     NonFiniteError,
 )
-from .ingest import RatingsTable
+from .graph import EpisodeKey
 from .metrics import METRICS, EpisodeMetrics
 
 _BETA_EPS = 1e-12
 _BETA_FPMIN = 1e-300
 _BETA_MAX_ITER = 300
-
-
-@dataclass
-class RankVector:
-    """Input values paired with their 1-based average ranks."""
-
-    values: list[float]
-    ranks: list[float]
 
 
 @dataclass
@@ -65,7 +57,6 @@ class CorrelationReport:
     n: int = 0
     excluded: int = 0
     efficiency_mode: str = "component-mean"
-    std_convention: str = "population"
     dedup_dropped: int = 0
 
 
@@ -84,7 +75,7 @@ def _check_finite(values, what: str) -> list[float]:
     return out
 
 
-def rank_with_ties(values) -> RankVector:
+def rank_with_ties(values) -> list[float]:
     """Ascending 1-based ranks; tied values share the mean of their positions."""
     data = _check_finite(values, "rank input")
     if not data:
@@ -101,7 +92,7 @@ def rank_with_ties(values) -> RankVector:
         for k in range(i, j + 1):
             ranks[order[k]] = average
         i = j + 1
-    return RankVector(values=data, ranks=ranks)
+    return ranks
 
 
 def _paired(x, y) -> tuple[list[float], list[float]]:
@@ -112,7 +103,7 @@ def _paired(x, y) -> tuple[list[float], list[float]]:
         raise DegenerateInputError(f"need at least 3 pairs, got {len(x)}")
     centered = []
     for values, what in ((x, "x"), (y, "y")):
-        ranks = rank_with_ties(values).ranks
+        ranks = rank_with_ties(values)
         mean = sum(ranks) / len(ranks)
         centered.append([r - mean for r in ranks])
         if all(c == 0.0 for c in centered[-1]):
@@ -292,7 +283,7 @@ def permutation_pvalue(x, y, iterations: int, rng_seed: int) -> float:
 
 def correlate_all(
     rows: list[EpisodeMetrics],
-    ratings: RatingsTable,
+    ratings: dict[EpisodeKey, float],
     efficiency_mode: str = "component-mean",
     dedup_dropped: int = 0,
     permutations: int | None = None,

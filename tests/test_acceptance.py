@@ -153,17 +153,17 @@ def test_criterion_3_metric_oracles():
         assert global_efficiency(graph) == pytest.approx(
             brute_global_efficiency(graph.nodes, edges), abs=1e-6
         )
-        harmonic = harmonic_vector(graph).scores
+        harmonic = harmonic_vector(graph)
         expected_harmonic = brute_harmonic(edges)
         assert set(harmonic) == set(expected_harmonic)
         for node, value in expected_harmonic.items():
             assert harmonic[node] == pytest.approx(value, abs=1e-6)
-        degrees = degree_vector(graph).scores
+        degrees = degree_vector(graph)
         for node, value in brute_degrees(edges).items():
             assert degrees[node] == pytest.approx(value, abs=1e-6)
 
         names, a = dense_adjacency(edges)
-        scores = eigenvector_vector(graph).scores
+        scores = eigenvector_vector(graph)
         x = [scores[v] for v in names]
         ax = [sum(a[i][j] * x[j] for j in range(len(x))) for i in range(len(x))]
         lam = sum(xi * axi for xi, axi in zip(x, ax))

@@ -213,22 +213,22 @@ class TestBfs:
 
     def test_path_graph(self):
         g = graph_from({("A", "B"): 1.0, ("B", "C"): 1.0})
-        assert harmonic_vector(g).scores == {"A": 1.5, "B": 2.0, "C": 1.5}
+        assert harmonic_vector(g) == {"A": 1.5, "B": 2.0, "C": 1.5}
 
     def test_unreachable_component(self):
         g = graph_from({("A", "B"): 1.0, ("C", "D"): 1.0})
-        assert harmonic_vector(g).scores == {"A": 1.0, "B": 1.0, "C": 1.0, "D": 1.0}
+        assert harmonic_vector(g) == {"A": 1.0, "B": 1.0, "C": 1.0, "D": 1.0}
 
     def test_four_cycle(self):
         g = graph_from(
             {("A", "B"): 1.0, ("B", "C"): 1.0, ("C", "D"): 1.0, ("A", "D"): 1.0}
         )
-        assert harmonic_vector(g).scores == {"A": 2.5, "B": 2.5, "C": 2.5, "D": 2.5}
+        assert harmonic_vector(g) == {"A": 2.5, "B": 2.5, "C": 2.5, "D": 2.5}
 
     def test_isolated_node_is_no_source(self):
         g = graph_from({("A", "B"): 1.0})
         g.nodes.add("Z")
-        assert harmonic_vector(g).scores == {"A": 1.0, "B": 1.0}
+        assert harmonic_vector(g) == {"A": 1.0, "B": 1.0}
 
     def test_matches_floyd_warshall_on_random_graphs(self):
         rng = random.Random(99)
@@ -242,7 +242,7 @@ class TestBfs:
                         add_interaction(g, names[i], names[j], 1.0)
             for v in names:
                 g.nodes.add(v)
-            assert harmonic_vector(g).scores == exact_harmonic(g.nodes, g.edges)
+            assert harmonic_vector(g) == exact_harmonic(g.nodes, g.edges)
 
 
 class TestComponents:

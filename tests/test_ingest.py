@@ -351,6 +351,25 @@ class TestParseRatingsCsv:
         with pytest.raises(FormatError):
             parse_ratings_csv("series,season,episode,rating\ngot,one,1,8.0\n")
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "got,1_0,1,9.1",  # int() reads '_' as a digit separator
+            "got,1,1_0,9.1",
+            "got,1,1,1_0",
+            "got,1,\u0661,9.1",  # ARABIC-INDIC DIGIT ONE
+            "got,\uff11,1,9.1",  # FULLWIDTH DIGIT ONE
+            "got,1,1,\u0669.1",  # ARABIC-INDIC DIGIT NINE
+        ],
+    )
+    def test_number_cells_are_plain_ascii(self, row):
+        with pytest.raises(FormatError, match="line 2"):
+            parse_ratings_csv(f"series,season,episode,rating\n{row}\n")
+
+    def test_number_cells_keep_sign_exponent_and_trimming(self):
+        table = parse_ratings_csv("series,season,episode,rating\ngot, +1 ,2\t,1e1\n")
+        assert table == {EpisodeKey("got", 1, 2): 10.0}
+
     def test_empty_input(self):
         with pytest.raises(FormatError):
             parse_ratings_csv("")
@@ -452,6 +471,23 @@ class TestLoadDataset:
         load_dataset(files, ratings_csv)
         assert len(results) == len(files)
         assert alive_at_ratings[0] <= 1
+
+    def test_ratings_without_episode_warn_in_key_order(self, tmp_path):
+        seg_dir = tmp_path / "segments"
+        seg_dir.mkdir()
+        (seg_dir / "demo.json").write_text(minimal_file(), encoding="utf-8")
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(
+            "series,season,episode,rating\nzeta,2,1,7.0\nbeta,1,99,8.0\n"
+            "demo,1,1,8.0\nalpha,3,1,6.0\n",
+            encoding="utf-8",
+        )
+        _, _, manifest = load_dataset([seg_dir / "demo.json"], ratings)
+        assert manifest.dataset_warnings == [
+            "rating without episode: alpha 3 1",
+            "rating without episode: beta 1 99",
+            "rating without episode: zeta 2 1",
+        ]
 
     def test_empty_dataset_rejected(self, tmp_path):
         ratings = tmp_path / "ratings.csv"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,6 @@ from charnet.graph import EpisodeGraph, EpisodeKey, add_interaction
 from charnet.metrics import (
     EFFICIENCY_MODES,
     METRICS,
-    CentralityVector,
     MetricsConfig,
     active_nodes,
     compute_episode_metrics,
@@ -109,18 +109,18 @@ class TestDensity:
 class TestStrength:
     def test_sums_incident_weights(self):
         vec = node_strengths(graph_from({("A", "B"): 5.0, ("B", "C"): 3.0}))
-        assert vec.scores == {"A": 5.0, "B": 8.0, "C": 3.0}
+        assert vec == {"A": 5.0, "B": 8.0, "C": 3.0}
         top, spread = summarize(vec)
         assert top == 8.0
         assert spread == pytest.approx(2.0548, abs=1e-4)
 
     def test_single_edge_both_ends(self):
         vec = node_strengths(graph_from({("A", "B"): 7.5}))
-        assert vec.scores == {"A": 7.5, "B": 7.5}
+        assert vec == {"A": 7.5, "B": 7.5}
 
     def test_defined_on_active_set_only(self):
         vec = node_strengths(graph_from({("A", "B"): 1.0}, extra_nodes=["Mute"]))
-        assert "Mute" not in vec.scores
+        assert "Mute" not in vec
 
 
 class TestGlobalEfficiency:
@@ -198,24 +198,24 @@ class TestTransitivity:
 class TestDegree:
     def test_star(self):
         vec = degree_vector(graph_from(STAR3))
-        assert vec.scores == {"X": 3.0, "a": 1.0, "b": 1.0, "c": 1.0}
+        assert vec == {"X": 3.0, "a": 1.0, "b": 1.0, "c": 1.0}
 
     def test_triangle(self):
-        assert set(degree_vector(graph_from(TRIANGLE)).scores.values()) == {2.0}
+        assert set(degree_vector(graph_from(TRIANGLE)).values()) == {2.0}
 
 
 class TestHarmonic:
     def test_star(self):
-        scores = harmonic_vector(graph_from(STAR3)).scores
+        scores = harmonic_vector(graph_from(STAR3))
         assert scores["X"] == pytest.approx(3.0)
         assert scores["a"] == pytest.approx(2.0)
 
     def test_two_components_each_pair(self):
-        scores = harmonic_vector(graph_from(TWO_EDGES)).scores
+        scores = harmonic_vector(graph_from(TWO_EDGES))
         assert all(v == pytest.approx(1.0) for v in scores.values())
 
     def test_path4_end(self):
-        scores = harmonic_vector(graph_from(PATH4)).scores
+        scores = harmonic_vector(graph_from(PATH4))
         assert scores["A"] == pytest.approx(1.0 + 0.5 + 1.0 / 3.0)
 
     def test_path6_exact(self):
@@ -224,7 +224,7 @@ class TestHarmonic:
         # count far nodes one hop too close
         names = "ABCDEF"
         g = graph_from({(a, b): 1.0 for a, b in zip(names, names[1:])})
-        scores = harmonic_vector(g).scores
+        scores = harmonic_vector(g)
         for i, v in enumerate(names):
             exact = sum(Fraction(1, abs(i - j)) for j in range(len(names)) if j != i)
             assert scores[v] == float(exact), v
@@ -235,26 +235,26 @@ class TestHarmonic:
 
 class TestEigenvector:
     def test_k2(self):
-        scores = eigenvector_vector(graph_from({("A", "B"): 4.0})).scores
+        scores = eigenvector_vector(graph_from({("A", "B"): 4.0}))
         assert scores["A"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
         assert scores["B"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
 
     def test_triangle_symmetry(self):
-        scores = eigenvector_vector(graph_from(TRIANGLE)).scores
+        scores = eigenvector_vector(graph_from(TRIANGLE))
         for v in scores.values():
             assert v == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
 
     def test_star_analytic(self):
-        scores = eigenvector_vector(graph_from(STAR3)).scores
+        scores = eigenvector_vector(graph_from(STAR3))
         assert scores["X"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
         for leaf in "abc":
             assert scores[leaf] == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-8)
 
     def test_weights_are_ignored(self):
-        light = eigenvector_vector(graph_from(STAR3)).scores
+        light = eigenvector_vector(graph_from(STAR3))
         heavy = eigenvector_vector(
             graph_from({pair: w * 250.0 for pair, w in STAR3.items()})
-        ).scores
+        )
         assert light == heavy
 
     def test_no_edges(self):
@@ -268,14 +268,29 @@ class TestEigenvector:
     def test_bipartite_converges(self):
         # 4-cycle is bipartite; the +-lambda pair must not oscillate
         cycle = {("A", "B"): 1.0, ("B", "C"): 1.0, ("C", "D"): 1.0, ("A", "D"): 1.0}
-        scores = eigenvector_vector(graph_from(cycle)).scores
+        scores = eigenvector_vector(graph_from(cycle))
         for v in scores.values():
             assert v == pytest.approx(0.5, abs=1e-9)
+
+    def test_far_leaf_against_dense_solver(self):
+        # a 30-node path hanging off a triangle takes about 400 steps to meet
+        # tol=1e-15, so the walk counts are shifted about 10 times; the far
+        # leaf scores ~1.9e-7, and with too few bits kept per shift the
+        # iteration never meets the tolerance
+        path = ["K0"] + [f"T{i:02d}" for i in range(1, 31)]
+        edges = {pair: 1.0 for pair in itertools.combinations(["K0", "K1", "K2"], 2)}
+        edges.update({pair: 1.0 for pair in zip(path, path[1:])})
+        names, _, _, _, dense_vec = dense_dominant_eigen(edges)
+        scores = eigenvector_vector(graph_from(edges), tol=1e-15)
+        for i, v in enumerate(names):
+            assert scores[v] == pytest.approx(dense_vec[i], abs=1e-13), v
+        leaf = names.index(path[-1])
+        assert scores[path[-1]] == pytest.approx(dense_vec[leaf], rel=1e-6)
 
 
 class TestSummarize:
     def test_max_and_population_std(self):
-        vec = CentralityVector("degree", {"a": 5.0, "b": 8.0, "c": 3.0})
+        vec = {"a": 5.0, "b": 8.0, "c": 3.0}
         top, spread = summarize(vec)
         assert top == 8.0
         mean = 16.0 / 3.0
@@ -283,14 +298,22 @@ class TestSummarize:
         assert spread == pytest.approx(expected, rel=1e-12)
 
     def test_constant_vector(self):
-        assert summarize(CentralityVector("degree", {"a": 4.0, "b": 4.0})) == (4.0, 0.0)
+        assert summarize({"a": 4.0, "b": 4.0}) == (4.0, 0.0)
+
+    def test_constant_vectors_have_exactly_zero_std(self):
+        # the fsum mean of n equal floats can miss them by an ulp
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            value = rng.uniform(0.0, 1.0)
+            scores = {f"v{i}": value for i in range(rng.randint(1, 40))}
+            assert summarize(scores) == (value, 0.0), scores
 
     def test_single_entry(self):
-        assert summarize(CentralityVector("degree", {"a": 2.5})) == (2.5, 0.0)
+        assert summarize({"a": 2.5}) == (2.5, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyVectorError):
-            summarize(CentralityVector("degree", {}))
+            summarize({})
 
 
 class TestComputeEpisodeMetrics:
@@ -312,6 +335,19 @@ class TestComputeEpisodeMetrics:
         assert row.density == 1.0
         assert row.transitivity == 1.0
         assert row.eigen_std == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            list(itertools.combinations("ABCDEF", 2)),  # K6
+            list(zip("ABCDE", "BCDEA")),  # C5
+        ],
+        ids=["K6", "C5"],
+    )
+    def test_vertex_transitive_eigen_std_is_zero(self, edges):
+        # every node scores the same float, so the std is 0, not an ulp of the mean
+        row = compute_episode_metrics(graph_from({pair: 1.0 for pair in edges}))
+        assert row.eigen_std == 0.0
 
     def test_empty_graph_all_zero_with_warning(self):
         row = compute_episode_metrics(EpisodeGraph(key=KEY))
@@ -340,6 +376,12 @@ class TestComputeEpisodeMetrics:
         row = compute_episode_metrics(graph_from(edges))
         assert (row.strength_max, row.strength_std) == (0.0, 0.0)
         assert row.warnings == ["strength: summary overflows a float"]
+
+    def test_equal_strengths_near_float_limit_need_no_sum(self):
+        # summarize takes no mean of equal values, so no partial sum can overflow
+        row = compute_episode_metrics(graph_from({("A", "B"): 1e308}))
+        assert (row.strength_max, row.strength_std) == (1e308, 0.0)
+        assert row.warnings == []
 
     def test_convergence_failure_becomes_warning(self):
         row = compute_episode_metrics(
@@ -450,12 +492,8 @@ def test_scale_invariance(layout, factor):
     assert other.strength_std == pytest.approx(base.strength_std * factor, rel=1e-9)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_edges20, st.randoms(use_true_random=False))
-def test_label_invariance(layout, rng):
-    # names decide no summation order: every column but eigen (which power
-    # iteration only fixes to eigen_tol) must come back bit-equal
-    g = _graph_from_layout(layout)
+def _relabeled(g: EpisodeGraph, rng) -> tuple[dict[str, str], EpisodeGraph]:
+    """g with its nodes renamed by a random permutation of their names."""
     names = sorted(g.nodes)
     renamed = names[:]
     rng.shuffle(renamed)
@@ -463,16 +501,31 @@ def test_label_invariance(layout, rng):
     relabeled = EpisodeGraph(key=KEY)
     for (a, b), w in g.edges.items():
         add_interaction(relabeled, mapping[a], mapping[b], w)
+    return mapping, relabeled
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edges20, st.randoms(use_true_random=False))
+def test_label_invariance(layout, rng):
+    # names decide no summation order: every column comes back bit-equal
+    g = _graph_from_layout(layout)
+    _, relabeled = _relabeled(g, rng)
     for mode in EFFICIENCY_MODES:
         config = MetricsConfig(efficiency_mode=mode)
         base = compute_episode_metrics(g, config)
         other = compute_episode_metrics(relabeled, config)
         for column in METRICS:
-            if column.attr in ("eigen_max", "eigen_std"):
-                expected = pytest.approx(getattr(base, column.attr), abs=1e-8)
-            else:
-                expected = getattr(base, column.attr)
-            assert getattr(other, column.attr) == expected, (mode, column.attr)
+            assert getattr(other, column.attr) == getattr(base, column.attr), (mode, column.attr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edges20, st.randoms(use_true_random=False))
+def test_eigenvector_scores_follow_relabelling(layout, rng):
+    # every node keeps its exact score under its new name
+    g = _graph_from_layout(layout)
+    mapping, relabeled = _relabeled(g, rng)
+    scores = eigenvector_vector(g)
+    assert eigenvector_vector(relabeled) == {mapping[v]: x for v, x in scores.items()}
 
 
 # a connected graph whose per-node reciprocal sums, rounded one by one and
@@ -522,7 +575,7 @@ def test_episode_row_bit_equal_to_public_functions(layout):
 def test_topology_matches_networkx(layout):
     g = _graph_from_layout(layout)
     reference = nx.Graph(list(g.edges))
-    harmonic = harmonic_vector(g).scores
+    harmonic = harmonic_vector(g)
     for node, expected in nx.harmonic_centrality(reference).items():
         assert harmonic[node] == pytest.approx(expected, abs=1e-9)
     parts = [reference.subgraph(c) for c in nx.connected_components(reference)]
@@ -550,10 +603,10 @@ def test_oracle_equivalence_on_small_graphs():
         assert global_efficiency(g) == pytest.approx(
             brute_global_efficiency(g.nodes, edges), abs=1e-6
         )
-        harmonic = harmonic_vector(g).scores
+        harmonic = harmonic_vector(g)
         for node, expected in brute_harmonic(edges).items():
             assert harmonic[node] == pytest.approx(expected, abs=1e-6)
-        degrees = degree_vector(g).scores
+        degrees = degree_vector(g)
         for node, expected in brute_degrees(edges).items():
             assert degrees[node] == expected
     assert checked >= 100
@@ -567,7 +620,7 @@ def test_eigenvector_against_dense_solver():
         if not edges:
             continue
         names, a, lam1, lam2, dense_vec = dense_dominant_eigen(edges)
-        scores = eigenvector_vector(graph_from(edges)).scores
+        scores = eigenvector_vector(graph_from(edges))
         x = [scores[v] for v in names]
         norm = math.sqrt(sum(v * v for v in x))
         assert norm == pytest.approx(1.0, abs=1e-9)
@@ -605,9 +658,9 @@ def test_adding_edge_never_hurts_density_or_harmonic():
         tried += 1
         a, b = rng.choice(candidates)
         before_density = density(g)
-        before_harmonic = harmonic_vector(g).scores
+        before_harmonic = harmonic_vector(g)
         add_interaction(g, a, b, 1.0)
         assert density(g) > before_density
-        after_harmonic = harmonic_vector(g).scores
+        after_harmonic = harmonic_vector(g)
         for node, value in before_harmonic.items():
             assert after_harmonic[node] >= value - 1e-12

@@ -8,7 +8,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 import pytest
 
 from charnet.graph import EpisodeKey
-from charnet.ingest import DatasetManifest, ManifestEntry, RatingsTable
+from charnet.ingest import DatasetManifest, ManifestEntry
 from charnet.metrics import EpisodeMetrics
 from charnet.report import (
     METRICS_CSV_HEADER,
@@ -81,10 +81,8 @@ def _rows() -> list[EpisodeMetrics]:
     ]
 
 
-def _ratings() -> RatingsTable:
-    table = RatingsTable()
-    table.ratings[EpisodeKey("demo", 1, 1)] = 8.1
-    return table
+def _ratings() -> dict[EpisodeKey, float]:
+    return {EpisodeKey("demo", 1, 1): 8.1}
 
 
 class TestMetricsCsv:

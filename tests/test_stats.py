@@ -19,7 +19,6 @@ from charnet.errors import (
     NonFiniteError,
 )
 from charnet.graph import EpisodeKey
-from charnet.ingest import RatingsTable
 from charnet.metrics import METRICS, EpisodeMetrics
 from charnet.stats import (
     correlate_all,
@@ -59,13 +58,13 @@ class TestSignificanceStars:
 
 class TestRankWithTies:
     def test_distinct(self):
-        assert rank_with_ties([10.0, 30.0, 20.0]).ranks == [1.0, 3.0, 2.0]
+        assert rank_with_ties([10.0, 30.0, 20.0]) == [1.0, 3.0, 2.0]
 
     def test_pair_tie(self):
-        assert rank_with_ties([1.0, 2.0, 2.0, 4.0]).ranks == [1.0, 2.5, 2.5, 4.0]
+        assert rank_with_ties([1.0, 2.0, 2.0, 4.0]) == [1.0, 2.5, 2.5, 4.0]
 
     def test_all_tied(self):
-        assert rank_with_ties([7.0, 7.0, 7.0]).ranks == [2.0, 2.0, 2.0]
+        assert rank_with_ties([7.0, 7.0, 7.0]) == [2.0, 2.0, 2.0]
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
@@ -80,7 +79,7 @@ class TestRankWithTies:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
     def test_rank_sum_invariant(self, values):
-        ranks = rank_with_ties(values).ranks
+        ranks = rank_with_ties(values)
         n = len(values)
         assert sum(ranks) == pytest.approx(n * (n + 1) / 2.0, rel=1e-12)
         assert all(1.0 <= r <= n for r in ranks)
@@ -90,7 +89,7 @@ class TestRankWithTies:
     def test_equal_values_share_rank(self, values):
         ranked = rank_with_ties(values)
         by_value: dict[float, set[float]] = {}
-        for v, r in zip(ranked.values, ranked.ranks):
+        for v, r in zip(values, ranked):
             by_value.setdefault(v, set()).add(r)
         assert all(len(rs) == 1 for rs in by_value.values())
 
@@ -428,11 +427,8 @@ def _demo_rows() -> list[EpisodeMetrics]:
     return rows
 
 
-def _demo_ratings() -> RatingsTable:
-    table = RatingsTable()
-    for i in range(1, 9):
-        table.ratings[EpisodeKey("demo", 1, i)] = float(i)
-    return table
+def _demo_ratings() -> dict[EpisodeKey, float]:
+    return {EpisodeKey("demo", 1, i): float(i) for i in range(1, 9)}
 
 
 def _assert_rows_match_standalone(rows, ratings, permutations, seed, report=None):
@@ -513,16 +509,16 @@ class TestCorrelateAll:
     )
     def test_permutation_rows_equal_standalone_calls_with_ties(self, drawn, seed):
         columns, reviews = drawn
-        rows, ratings = [], RatingsTable()
+        rows, ratings = [], {}
         for i, review in enumerate(reviews):
             key = EpisodeKey("ties", 1, i + 1)
             cells = {c.attr: column[i] for c, column in zip(METRICS, columns)}
             rows.append(EpisodeMetrics(key=key, **cells))
-            ratings.ratings[key] = float(review)
+            ratings[key] = float(review)
         _assert_rows_match_standalone(rows, ratings, 1000, seed)
 
     def test_constant_reviews_flag_every_row(self):
-        ratings = RatingsTable({key: 7.5 for key in _demo_ratings().ratings})
+        ratings = {key: 7.5 for key in _demo_ratings()}
         report = correlate_all(_demo_rows(), ratings, permutations=1000, seed=7)
         assert len(report.results) == 12
         for result in report.results:
@@ -564,5 +560,4 @@ class TestCorrelateAll:
             _demo_rows(), _demo_ratings(), efficiency_mode="neighborhood", dedup_dropped=3
         )
         assert report.efficiency_mode == "neighborhood"
-        assert report.std_convention == "population"
         assert report.dedup_dropped == 3
