@@ -16,7 +16,6 @@ from .graph import (
     aggregate_segments,
 )
 from .ingest import (
-    DatasetManifest,
     load_dataset,
     parse_ratings_csv,
     parse_segment_file,
@@ -59,7 +58,6 @@ __all__ = [
     "add_interaction",
     "aggregate_segments",
     "connected_components",
-    "DatasetManifest",
     "load_dataset",
     "parse_ratings_csv",
     "parse_segment_file",

@@ -93,14 +93,16 @@ def _run(args: argparse.Namespace) -> int:
     files = sorted(args.segments.glob("*.json"))
     if not files:
         raise EmptyDatasetError(f"no episode files found in {args.segments}")
-    episodes, ratings, manifest = load_dataset(files, args.ratings)
+    episodes, ratings, dataset_warnings = load_dataset(files, args.ratings)
+    # every subcommand, plot included, answers for the whole dataset's load warnings
+    load_warned = bool(dataset_warnings) or any(graph.warnings for graph in episodes)
 
     if everything or args.command == "validate":
-        text = render_manifest(manifest)
+        text = render_manifest(episodes, dataset_warnings)
         _write(args.out / "manifest.txt", text)
         if not everything:
             sys.stdout.write(text)
-            return 1 if manifest.warning_count() else 0
+            return 1 if load_warned else 0
 
     # episodes come sorted by key, so series and their rows are in key order
     graphs_by_series: dict[str, list[EpisodeGraph]] = {}
@@ -116,7 +118,7 @@ def _run(args: argparse.Namespace) -> int:
             known = ", ".join(graphs_by_series)
             raise UnknownSeriesError(f"unknown series {args.series!r}; dataset has: {known}")
         plots = [(args.series, column)]
-        # plot computes, and counts the warnings of, its own series only
+        # plot computes, and counts the row warnings of, its own series only
         graphs_by_series = {args.series: graphs_by_series[args.series]}
     elif everything and "svg" in formats:
         plots = [(s, METRIC_BY_ATTR[a]) for s in graphs_by_series for a in sorted(METRIC_BY_ATTR)]
@@ -149,9 +151,7 @@ def _run(args: argparse.Namespace) -> int:
                 rows,
                 ratings,
                 efficiency_mode=args.efficiency,
-                dedup_dropped=sum(
-                    e.duplicates_dropped for e in manifest.entries if e.key.series == series
-                ),
+                dedup_dropped=sum(graph.duplicates_dropped for graph in graphs_by_series[series]),
                 permutations=args.permutations,
                 seed=args.seed,
             )
@@ -169,7 +169,7 @@ def _run(args: argparse.Namespace) -> int:
         svg = render_scatter_svg(points, column.label, series, echo)
         _write(args.out / f"{series}_{column.attr}_scatter.svg", svg)
 
-    return 1 if manifest.warning_count() + len(row_warnings) else 0
+    return 1 if load_warned or row_warnings else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,9 @@
 
 Two graph shapes share one edge representation: a SegmentGraph covers a
 ten-scene window of an episode, and an EpisodeGraph is the weight-summed
-union of all segments of that episode.  Edges live under canonically
+union of all segments of that episode.  An EpisodeGraph is also the one
+record of what loading found for its episode: its ordinal, its manifest
+warnings and its dropped duplicate files.  Edges live under canonically
 ordered (sorted) name pairs so undirected lookups and serialization are
 orientation-insensitive.  This module only builds graphs; metrics answers
 every question about their shape, components included, on one index.
@@ -66,10 +68,13 @@ class SegmentGraph:
 
 @dataclass
 class EpisodeGraph:
-    """Weighted union of an episode's segment graphs.
+    """Weighted union of an episode's segment graphs, with its load facts.
 
-    ordinal is the 1-based flat position of the episode across the loaded
-    dataset (the metric-table row number); 0 until a loader assigns it.
+    ordinal is the 1-based position of the episode within its series (the
+    metric-table row number); 0 until a loader assigns it.  warnings are
+    the episode's manifest warnings in manifest order, and
+    duplicates_dropped counts the later files with the same key that the
+    loader skipped.
     """
 
     key: EpisodeKey
@@ -77,6 +82,8 @@ class EpisodeGraph:
     edges: dict[Pair, float] = field(default_factory=dict)
     segment_count: int = 0
     ordinal: int = 0
+    warnings: list[str] = field(default_factory=list)
+    duplicates_dropped: int = 0
 
 
 def add_interaction(graph, a: CharacterId, b: CharacterId, seconds: float):

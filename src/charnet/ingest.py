@@ -3,11 +3,15 @@
 One JSON file holds one episode as a list of segment graphs.  Ratings come
 from a local CSV only; nothing here ever touches the network.  Parsers are
 total: any input terminates with a parse result or a structured error.
+load_dataset records what it finds per episode on the EpisodeGraph itself
+(its warnings and dropped duplicate files); only the warnings that belong
+to no episode come back on their own.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -46,29 +50,6 @@ class ParsedEpisode:
     warnings: list[str] = field(default_factory=list)
 
 
-@dataclass
-class ManifestEntry:
-    """Validation summary for one episode."""
-
-    key: EpisodeKey
-    segment_count: int
-    node_count: int
-    edge_count: int
-    warnings: list[str] = field(default_factory=list)
-    duplicates_dropped: int = 0
-
-
-@dataclass
-class DatasetManifest:
-    """Per-episode counts and warnings, plus dataset-level warnings."""
-
-    entries: list[ManifestEntry] = field(default_factory=list)
-    dataset_warnings: list[str] = field(default_factory=list)
-
-    def warning_count(self) -> int:
-        return len(self.dataset_warnings) + sum(len(e.warnings) for e in self.entries)
-
-
 def _require(mapping: dict, key: str, where: str):
     if not isinstance(mapping, dict):
         raise FormatError(f"{where}: expected an object, got {type(mapping).__name__}")
@@ -91,8 +72,9 @@ def _text(value, what: str, where: str) -> str:
 
 
 def _has_control(text: str) -> bool:
-    """True if text holds a C0 or C1 control character or DEL, which no report line may hold."""
-    return any(ord(ch) < 32 or 127 <= ord(ch) < 160 for ch in text)
+    """True if text holds a C0 or C1 control character, DEL, or a line or
+    paragraph separator (U+2028, U+2029): no report line may hold one."""
+    return any(ord(ch) < 32 or 127 <= ord(ch) < 160 or ch in "\u2028\u2029" for ch in text)
 
 
 def _file_safe(series: str, where: str) -> None:
@@ -103,12 +85,15 @@ def _file_safe(series: str, where: str) -> None:
         )
 
 
-def _encodable(text: str, what: str) -> None:
-    # JSON escapes can decode to lone surrogates, which no report could write
+def _line_safe(text: str, what: str, where: str = "episode file") -> None:
+    """Reject text that no report line can hold: control characters, or lone
+    surrogates, which JSON escapes and undecodable file-name bytes give."""
+    if _has_control(text):
+        raise FormatError(f"{where}: {what} {text!r} must not contain control characters")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise FormatError(f"episode file: {what} {text!r} is not encodable as UTF-8") from exc
+        raise FormatError(f"{where}: {what} {text!r} is not encodable as UTF-8") from exc
 
 
 def _character(names: dict[str, str], raw: str) -> str:
@@ -116,9 +101,7 @@ def _character(names: dict[str, str], raw: str) -> str:
     name = names.get(raw)
     if name is None:
         name = normalize_character(raw)
-        if _has_control(name):
-            raise FormatError(f"episode file: character name {name!r} must not contain control characters")
-        _encodable(name, "character name")
+        _line_safe(name, "character name")
         names[raw] = name
     return name
 
@@ -149,7 +132,7 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
     if not series:
         raise FormatError("episode file: series must be a non-empty string")
     _file_safe(series, "episode file")
-    _encodable(series, "series")
+    _line_safe(series, "series")
     season = _positive_int(_require(doc, "season", "episode file"), "season", "episode file")
     episode = _positive_int(_require(doc, "episode", "episode file"), "episode", "episode file")
     key = EpisodeKey(series=series, season=season, episode=episode)
@@ -233,12 +216,13 @@ def parse_ratings_csv(data: bytes | str) -> dict[EpisodeKey, float]:
         except UnicodeDecodeError as exc:
             raise FormatError(f"ratings CSV is not valid UTF-8: {exc}") from exc
 
-    lines = data.splitlines()
+    # csv alone splits rows, so a line break inside a quoted cell stays in
+    # its cell; a row is numbered by the line it ends on
+    reader = csv.reader(io.StringIO(data, newline=""))
     try:
-        rows = list(csv.reader(lines))
+        filled = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise FormatError(f"ratings CSV is unreadable: {exc}") from exc
-    filled = [(number, row) for number, row in enumerate(rows, start=1) if row]
     if not filled:
         raise FormatError("ratings CSV is empty")
 
@@ -286,19 +270,21 @@ def parse_ratings_csv(data: bytes | str) -> dict[EpisodeKey, float]:
 
 def load_dataset(
     segment_files, ratings_file
-) -> tuple[list[EpisodeGraph], dict[EpisodeKey, float], DatasetManifest]:
+) -> tuple[list[EpisodeGraph], dict[EpisodeKey, float], list[str]]:
     """Parse and aggregate a whole dataset.
 
-    Duplicate episode keys keep their first file and warn.  Episodes are
-    returned sorted by key, with 1-based ordinals assigned per series in
-    (season, episode) order.
+    Returns (episodes, ratings, dataset warnings).  Episodes are sorted by
+    key, with 1-based ordinals assigned per series in (season, episode)
+    order, and each carries its own manifest warnings: parse warnings, one
+    per dropped duplicate file, isolated nodes, then a missing rating.
+    Duplicate episode keys keep their first file.  The dataset warnings
+    name ratings that have no episode, in key order.
     """
     paths = [Path(p) for p in segment_files]
     if not paths:
         raise EmptyDatasetError("no episode files found")
 
-    # per kept key: its graph, its parse warnings, its duplicate-file warnings
-    kept: dict[EpisodeKey, tuple[EpisodeGraph, list[str], list[str]]] = {}
+    kept: dict[EpisodeKey, EpisodeGraph] = {}
     for path in paths:
         try:
             episode = parse_segment_file(path.read_bytes())
@@ -306,44 +292,31 @@ def load_dataset(
             raise FormatError(f"{path}: {exc}") from exc
         except InvariantError as exc:
             raise InvariantError(f"{path}: {exc}") from exc
-        if episode.key in kept:
-            kept[episode.key][2].append(f"duplicate episode key in {path.name}, first kept")
-        else:
+        graph = kept.get(episode.key)
+        if graph is None:
             graph = aggregate_segments(episode.segments, episode.key)
-            kept[episode.key] = (graph, episode.warnings, [])
+            graph.warnings = episode.warnings
+            kept[episode.key] = graph
+        else:
+            # the one file name that a report writes
+            _line_safe(path.name, "name", f"duplicate episode file {str(path)!r}")
+            graph.warnings.append(f"duplicate episode key in {path.name}, first kept")
+            graph.duplicates_dropped += 1
 
     ratings = parse_ratings_csv(Path(ratings_file).read_bytes())
 
-    episodes: list[EpisodeGraph] = []
-    manifest = DatasetManifest()
+    episodes = [kept[key] for key in sorted(kept)]
     per_series_counter: dict[str, int] = {}
-    for key in sorted(kept):
-        graph, parse_warnings, duplicates = kept[key]
-        per_series_counter[key.series] = per_series_counter.get(key.series, 0) + 1
-        graph.ordinal = per_series_counter[key.series]
-
-        warnings = parse_warnings + duplicates
+    for graph in episodes:
+        series = graph.key.series
+        per_series_counter[series] = graph.ordinal = per_series_counter.get(series, 0) + 1
         linked = {v for pair in graph.edges for v in pair}
         isolated = sorted(graph.nodes - linked)
         if isolated:
             shown = ", ".join(isolated[:5]) + ("..." if len(isolated) > 5 else "")
-            warnings.append(f"{len(isolated)} isolated node(s) kept: {shown}")
-        if key not in ratings:
-            warnings.append("MissingRating: excluded from correlation")
+            graph.warnings.append(f"{len(isolated)} isolated node(s) kept: {shown}")
+        if graph.key not in ratings:
+            graph.warnings.append("MissingRating: excluded from correlation")
 
-        episodes.append(graph)
-        manifest.entries.append(
-            ManifestEntry(
-                key=key,
-                segment_count=graph.segment_count,
-                node_count=len(graph.nodes),
-                edge_count=len(graph.edges),
-                warnings=warnings,
-                duplicates_dropped=len(duplicates),
-            )
-        )
-
-    for key in sorted(ratings):
-        if key not in kept:
-            manifest.dataset_warnings.append(f"rating without episode: {key}")
-    return episodes, ratings, manifest
+    dataset_warnings = [f"rating without episode: {key}" for key in sorted(ratings) if key not in kept]
+    return episodes, ratings, dataset_warnings

@@ -9,8 +9,7 @@ settings can never be byte-identical.
 
 from __future__ import annotations
 
-from .graph import EpisodeKey
-from .ingest import DatasetManifest
+from .graph import EpisodeGraph, EpisodeKey
 from .metrics import METRICS, EpisodeMetrics
 from .stats import CorrelationReport
 
@@ -226,17 +225,16 @@ def render_scatter_svg(
     return "\n".join(lines) + "\n"
 
 
-def render_manifest(manifest: DatasetManifest) -> str:
-    """Per-episode counts and warnings in key order."""
+def render_manifest(episodes: list[EpisodeGraph], dataset_warnings: list[str]) -> str:
+    """Per-episode counts and warnings in the given order, then the dataset's warnings."""
     lines = []
-    for entry in manifest.entries:
+    for graph in episodes:
         lines.append(
-            f"{entry.key}: {entry.segment_count} segments,"
-            f" {entry.node_count} nodes, {entry.edge_count} edges"
+            f"{graph.key}: {graph.segment_count} segments,"
+            f" {len(graph.nodes)} nodes, {len(graph.edges)} edges"
         )
-        lines.extend(f"  warning: {w}" for w in entry.warnings)
-    lines.extend(f"warning: {w}" for w in manifest.dataset_warnings)
-    lines.append(
-        f"episodes: {len(manifest.entries)}, warnings: {manifest.warning_count()}"
-    )
+        lines.extend(f"  warning: {w}" for w in graph.warnings)
+    lines.extend(f"warning: {w}" for w in dataset_warnings)
+    count = len(dataset_warnings) + sum(len(graph.warnings) for graph in episodes)
+    lines.append(f"episodes: {len(episodes)}, warnings: {count}")
     return "\n".join(lines) + "\n"

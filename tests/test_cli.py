@@ -73,6 +73,27 @@ class TestValidate:
         assert "must not contain control characters" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("b\nepisodes: 9, warnings: 0\n.json", "must not contain control characters"),
+            (os.fsdecode(b"b\xff.json"), "not encodable as UTF-8"),
+        ],
+    )
+    def test_unsafe_duplicate_file_name_exits_two(self, clean_dataset, tmp_path, capsys, name, message):
+        # a dropped duplicate's file name is written into the manifest
+        segments = tmp_path / "segments"
+        segments.mkdir()
+        text = serialize_episode(EpisodeKey("demo", 1, 1), random_segments(random.Random(1), 2))
+        (segments / "a.json").write_text(text, encoding="utf-8")
+        duplicate = segments / name
+        duplicate.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("validate", (segments, clean_dataset[1]), out) == 2
+        err = capsys.readouterr().err
+        assert repr(str(duplicate)) in err and message in err
+        assert not (out / "manifest.txt").exists()
+
     def test_computes_no_metrics(self, clean_dataset, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("validate must not compute metrics")

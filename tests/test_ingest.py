@@ -26,6 +26,7 @@ from charnet.ingest import (
     parse_segment_file,
     serialize_episode,
 )
+from charnet.report import render_manifest
 
 from support import build_demo_dataset, build_messy_dataset, random_segments
 
@@ -174,7 +175,15 @@ class TestParseSegmentFile:
         with pytest.raises(FormatError, match="not encodable as UTF-8"):
             parse_segment_file(minimal_file(**overrides))
 
-    @pytest.mark.parametrize("name", ["Lone\nepisodes: 0, warnings: 0", "Lo\x85ne"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "Lone\nepisodes: 0, warnings: 0",
+            "Lo\x85ne",
+            "Z\u2028episodes: 7, warnings: 0",  # LINE SEPARATOR: str.splitlines breaks here
+            "Z\u2029episodes: 7, warnings: 0",  # PARAGRAPH SEPARATOR: so does it here
+        ],
+    )
     @pytest.mark.parametrize("place", ["nodes", "edge endpoint"])
     def test_control_character_in_name(self, name, place):
         # a line break in a name would forge lines of the manifest
@@ -342,10 +351,18 @@ class TestParseRatingsCsv:
                 "series,season,episode,rating\ngot,1,1,8.0\ngot,1,1,9.0\n"
             )
 
-    @pytest.mark.parametrize("series", ["../escaped", "a/b", "a\\b", "a\x7fb", "a\tb"])
+    @pytest.mark.parametrize(
+        "series", ["../escaped", "a/b", "a\\b", "a\x7fb", "a\tb", "a\u2028b", "a\u2029b"]
+    )
     def test_series_must_be_file_safe(self, series):
         with pytest.raises(FormatError, match="line 2: series"):
             parse_ratings_csv(f"series,season,episode,rating\n{series},1,1,8.0\n")
+
+    def test_quoted_line_break_stays_in_its_cell(self):
+        # the series cell then holds a line break, which no report line may;
+        # the row is numbered by the line it ends on
+        with pytest.raises(FormatError, match="line 3: series"):
+            parse_ratings_csv('series,season,episode,rating\n"go\nt",1,1,9.1\n')
 
     def test_non_numeric_season(self):
         with pytest.raises(FormatError):
@@ -397,9 +414,9 @@ class TestLoadDataset:
     def test_clean_load(self, tmp_path):
         segments_dir, ratings_csv = build_demo_dataset(tmp_path)
         files = sorted(segments_dir.glob("*.json"))
-        episodes, ratings, manifest = load_dataset(files, ratings_csv)
+        episodes, ratings, dataset_warnings = load_dataset(files, ratings_csv)
         assert len(episodes) == 12
-        assert manifest.warning_count() == 0
+        assert dataset_warnings == [] and all(e.warnings == [] for e in episodes)
         assert [e.key for e in episodes] == sorted(e.key for e in episodes)
         # per-series ordinals restart at 1
         alpha = [e.ordinal for e in episodes if e.key.series == "alpha"]
@@ -410,18 +427,16 @@ class TestLoadDataset:
     def test_messy_load_warns(self, tmp_path):
         segments_dir, ratings_csv = build_messy_dataset(tmp_path)
         files = sorted(segments_dir.glob("*.json"))
-        episodes, ratings, manifest = load_dataset(files, ratings_csv)
+        episodes, ratings, dataset_warnings = load_dataset(files, ratings_csv)
         keys = [e.key for e in episodes]
         assert len(keys) == len(set(keys)) == 6  # duplicate dropped
-        text = " | ".join(
-            w for entry in manifest.entries for w in entry.warnings
-        ) + " | ".join(manifest.dataset_warnings)
+        text = " | ".join(w for e in episodes for w in e.warnings) + " | ".join(dataset_warnings)
         assert "duplicate episode key" in text
         assert "isolated node" in text
         assert "MissingRating" in text
         assert "duplicate edge" in text
-        assert any("rating without episode" in w for w in manifest.dataset_warnings)
-        first = next(e for e in manifest.entries if e.key.episode == 1)
+        assert any("rating without episode" in w for w in dataset_warnings)
+        first = next(e for e in episodes if e.key.episode == 1)
         assert first.duplicates_dropped == 1
 
     def test_duplicate_keeps_first_file(self, tmp_path):
@@ -437,10 +452,10 @@ class TestLoadDataset:
         (seg_dir / "b_second.json").write_text(bigger, encoding="utf-8")
         ratings = tmp_path / "ratings.csv"
         ratings.write_text("series,season,episode,rating\ndemo,1,1,8.0\n", encoding="utf-8")
-        episodes, _, manifest = load_dataset(sorted(seg_dir.glob("*.json")), ratings)
+        episodes, _, _ = load_dataset(sorted(seg_dir.glob("*.json")), ratings)
         assert len(episodes) == 1
         assert episodes[0].segment_count == 1  # the first file had one segment
-        assert manifest.entries[0].duplicates_dropped == 1
+        assert episodes[0].duplicates_dropped == 1
 
     def test_dedup_idempotence(self, tmp_path):
         segments_dir, ratings_csv = build_demo_dataset(tmp_path)
@@ -482,12 +497,38 @@ class TestLoadDataset:
             "demo,1,1,8.0\nalpha,3,1,6.0\n",
             encoding="utf-8",
         )
-        _, _, manifest = load_dataset([seg_dir / "demo.json"], ratings)
-        assert manifest.dataset_warnings == [
+        _, _, dataset_warnings = load_dataset([seg_dir / "demo.json"], ratings)
+        assert dataset_warnings == [
             "rating without episode: alpha 3 1",
             "rating without episode: beta 1 99",
             "rating without episode: zeta 2 1",
         ]
+
+    def test_manifest_order_of_one_episodes_warnings(self, tmp_path):
+        # parse warnings, duplicate files in file order, isolated nodes, missing rating
+        seg_dir = tmp_path / "segments"
+        seg_dir.mkdir()
+        segment = {
+            "index": 0,
+            "nodes": ["Zed"],
+            "edges": [{"a": "A", "b": "B", "w": 1.0}, {"a": "B", "b": "A", "w": 2.0}],
+        }
+        for name in ("a_first.json", "b_dup.json", "c_dup.json"):
+            (seg_dir / name).write_text(minimal_file(segments=[segment]), encoding="utf-8")
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("series,season,episode,rating\nother,1,1,8.0\n", encoding="utf-8")
+        episodes, _, dataset_warnings = load_dataset(sorted(seg_dir.glob("*.json")), ratings)
+        assert render_manifest(episodes, dataset_warnings) == (
+            "demo 1 1: 1 segments, 3 nodes, 1 edges\n"
+            "  warning: segment 0: duplicate edge A-B merged\n"
+            "  warning: duplicate episode key in b_dup.json, first kept\n"
+            "  warning: duplicate episode key in c_dup.json, first kept\n"
+            "  warning: 1 isolated node(s) kept: Zed\n"
+            "  warning: MissingRating: excluded from correlation\n"
+            "warning: rating without episode: other 1 1\n"
+            "episodes: 1, warnings: 6\n"
+        )
+        assert episodes[0].duplicates_dropped == 2
 
     def test_empty_dataset_rejected(self, tmp_path):
         ratings = tmp_path / "ratings.csv"

@@ -7,8 +7,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
 import pytest
 
-from charnet.graph import EpisodeKey
-from charnet.ingest import DatasetManifest, ManifestEntry
+from charnet.graph import EpisodeGraph, EpisodeKey
 from charnet.metrics import EpisodeMetrics
 from charnet.report import (
     METRICS_CSV_HEADER,
@@ -264,25 +263,22 @@ class TestScatterSvg:
 
 class TestManifest:
     def test_shape(self):
-        manifest = DatasetManifest(
-            entries=[
-                ManifestEntry(
-                    key=EpisodeKey("demo", 1, 1),
-                    segment_count=3,
-                    node_count=5,
-                    edge_count=4,
-                    warnings=["segment 2: no edges"],
-                ),
-                ManifestEntry(
-                    key=EpisodeKey("demo", 1, 2),
-                    segment_count=2,
-                    node_count=4,
-                    edge_count=3,
-                ),
-            ],
-            dataset_warnings=["rating without episode: demo 1 9"],
-        )
-        lines = render_manifest(manifest).splitlines()
+        episodes = [
+            EpisodeGraph(
+                key=EpisodeKey("demo", 1, 1),
+                nodes=set("ABCDE"),
+                edges={("A", "B"): 1.0, ("B", "C"): 1.0, ("C", "D"): 1.0, ("D", "E"): 1.0},
+                segment_count=3,
+                warnings=["segment 2: no edges"],
+            ),
+            EpisodeGraph(
+                key=EpisodeKey("demo", 1, 2),
+                nodes=set("ABCD"),
+                edges={("A", "B"): 1.0, ("B", "C"): 1.0, ("C", "D"): 1.0},
+                segment_count=2,
+            ),
+        ]
+        lines = render_manifest(episodes, ["rating without episode: demo 1 9"]).splitlines()
         assert lines[0] == "demo 1 1: 3 segments, 5 nodes, 4 edges"
         assert lines[1] == "  warning: segment 2: no edges"
         assert lines[2] == "demo 1 2: 2 segments, 4 nodes, 3 edges"
@@ -290,7 +286,7 @@ class TestManifest:
         assert lines[4] == "episodes: 2, warnings: 2"
 
     def test_empty_dataset_summary_line(self):
-        text = render_manifest(DatasetManifest())
+        text = render_manifest([], [])
         assert text == "episodes: 0, warnings: 0\n"
 
 
