@@ -53,6 +53,8 @@ def _check_flags(args: argparse.Namespace) -> tuple[str, ...]:
         )
     if not formats:
         raise FormatError("at least one output format is required")
+    if args.command in ("metrics", "correlate") and not {"csv", "md"} & set(formats):
+        raise FormatError(f"{args.command} writes tables only: --format needs csv or md")
     if not (math.isfinite(args.eigen_tol) and args.eigen_tol > 0):
         raise DomainError(f"--eigen-tol must be a finite number > 0, got {args.eigen_tol:g}")
     if args.eigen_max_iter < 1:
@@ -97,12 +99,11 @@ def _run(args: argparse.Namespace) -> int:
     # every subcommand, plot included, answers for the whole dataset's load warnings
     load_warned = bool(dataset_warnings) or any(graph.warnings for graph in episodes)
 
-    if everything or args.command == "validate":
+    if args.command == "validate":
         text = render_manifest(episodes, dataset_warnings)
         _write(args.out / "manifest.txt", text)
-        if not everything:
-            sys.stdout.write(text)
-            return 1 if load_warned else 0
+        sys.stdout.write(text)
+        return 1 if load_warned else 0
 
     # episodes come sorted by key, so series and their rows are in key order
     graphs_by_series: dict[str, list[EpisodeGraph]] = {}
@@ -137,6 +138,15 @@ def _run(args: argparse.Namespace) -> int:
     ]
     for line in row_warnings:
         print(line, file=sys.stderr)
+    reports = {}
+    if everything or args.command == "correlate":
+        # built before the first write: a series that cannot be correlated leaves no files
+        reports = {
+            series: correlate_all(rows, ratings, permutations=args.permutations, seed=args.seed)
+            for series, rows in rows_by_series.items()
+        }
+    if everything:
+        _write(args.out / "manifest.txt", render_manifest(episodes, dataset_warnings))
     echo = _echo_lines(args)
     tables = [f for f in ("csv", "md") if f in formats]
     if everything or args.command == "metrics":
@@ -144,19 +154,12 @@ def _run(args: argparse.Namespace) -> int:
         for series, rows in rows_by_series.items():
             for fmt in tables:
                 _write(args.out / f"{series}_metrics.{fmt}", render[fmt](rows, ratings, echo))
-    if everything or args.command == "correlate":
-        render = {"csv": render_correlations_csv, "md": render_correlations_markdown}
-        for series, rows in rows_by_series.items():
-            report = correlate_all(
-                rows,
-                ratings,
-                efficiency_mode=args.efficiency,
-                dedup_dropped=sum(graph.duplicates_dropped for graph in graphs_by_series[series]),
-                permutations=args.permutations,
-                seed=args.seed,
-            )
-            for fmt in tables:
-                _write(args.out / f"{series}_correlations.{fmt}", render[fmt](report, echo))
+    render = {"csv": render_correlations_csv, "md": render_correlations_markdown}
+    for series, report in reports.items():
+        dropped = sum(graph.duplicates_dropped for graph in graphs_by_series[series])
+        notes = [f"duplicate episodes dropped at load: {dropped}", *echo]
+        for fmt in tables:
+            _write(args.out / f"{series}_correlations.{fmt}", render[fmt](report, notes))
     # a plot is an SVG whatever --format says
     for series, column in plots:
         points = [

@@ -81,40 +81,26 @@ def _correlation_cells(report: CorrelationReport) -> list[list[str]]:
     ]
 
 
-def _correlation_footer(report: CorrelationReport, echo: list[str]) -> list[str]:
-    lines = [
-        f"n: {report.n}",
-        f"excluded (no rating): {report.excluded}",
-        f"duplicate episodes dropped at load: {report.dedup_dropped}",
-        f"efficiency mode: {report.efficiency_mode}",
-        "std convention: population",
-        "stars: ** p < 0.01, * p < 0.05 (strict thresholds, no exceptions)",
+def _correlation_footer(report: CorrelationReport, notes: list[str]) -> list[str]:
+    lines = [f"n: {report.n}", f"excluded (no rating): {report.excluded}", *notes]
+    lines.append("stars: ** p < 0.01, * p < 0.05 (strict thresholds, no exceptions)")
+    lines += [f"flagged {r.metric_name}: {r.note}" for r in report.results if r.note]
+    lines += [
+        f"permutation pValue {r.metric_name}: {fmt_real(r.permutation_p)}"
+        for r in report.results
+        if r.permutation_p is not None
     ]
-    for result in report.results:
-        if result.note:
-            lines.append(f"flagged {result.metric_name}: {result.note}")
-    for result in report.results:
-        if result.permutation_p is not None:
-            lines.append(
-                f"permutation pValue {result.metric_name}: {fmt_real(result.permutation_p)}"
-            )
-    # efficiency mode and std convention are already above; echo the rest
-    lines.extend([line for line in echo if line not in lines])
     return lines
 
 
-def render_correlations_csv(report: CorrelationReport, echo: list[str] | None = None) -> str:
-    """One row per metric column; footer lines carry the sample and settings."""
-    notes = _correlation_footer(report, echo or [])
-    return _csv(CORRELATIONS_HEADER, _correlation_cells(report), notes)
+def render_correlations_csv(report: CorrelationReport, notes: list[str]) -> str:
+    """One row per metric column; footer lines carry the sample, the notes and the stars."""
+    return _csv(CORRELATIONS_HEADER, _correlation_cells(report), _correlation_footer(report, notes))
 
 
-def render_correlations_markdown(
-    report: CorrelationReport, echo: list[str] | None = None
-) -> str:
+def render_correlations_markdown(report: CorrelationReport, notes: list[str]) -> str:
     """Pipe-table mirror of the correlations CSV."""
-    notes = _correlation_footer(report, echo or [])
-    return _markdown(CORRELATIONS_HEADER, _correlation_cells(report), notes)
+    return _markdown(CORRELATIONS_HEADER, _correlation_cells(report), _correlation_footer(report, notes))
 
 
 def _axis_range(values: list[float]) -> tuple[int, int, int]:

@@ -42,7 +42,6 @@ class CorrelationResult:
     metric_name: str
     rho: float | None
     p_value: float | None
-    n: int
     significance: str = ""
     note: str = ""
     permutation_p: float | None = None
@@ -50,14 +49,11 @@ class CorrelationResult:
 
 @dataclass
 class CorrelationReport:
-    """All 12 metric correlations for one series, plus the config echo."""
+    """All 12 metric correlations for one series, over n rated episodes."""
 
-    series: str
     results: list[CorrelationResult] = field(default_factory=list)
     n: int = 0
     excluded: int = 0
-    efficiency_mode: str = "component-mean"
-    dedup_dropped: int = 0
 
 
 def significance_stars(p: float) -> str:
@@ -284,8 +280,6 @@ def permutation_pvalue(x, y, iterations: int, rng_seed: int) -> float:
 def correlate_all(
     rows: list[EpisodeMetrics],
     ratings: dict[EpisodeKey, float],
-    efficiency_mode: str = "component-mean",
-    dedup_dropped: int = 0,
     permutations: int | None = None,
     seed: int = 0,
 ) -> CorrelationReport:
@@ -304,16 +298,10 @@ def correlate_all(
     usable = [(row, review) for row, review in paired if review is not None]
     n = len(usable)
     if n < 4:
-        raise InsufficientDataError(f"need at least 4 rated episodes, got {n}")
+        raise InsufficientDataError(f"series {series_names[0]!r}: need at least 4 rated episodes, got {n}")
 
     reviews = [review for _, review in usable]
-    report = CorrelationReport(
-        series=series_names[0],
-        n=n,
-        excluded=len(paired) - n,
-        efficiency_mode=efficiency_mode,
-        dedup_dropped=dedup_dropped,
-    )
+    report = CorrelationReport(n=n, excluded=len(paired) - n)
     tested: list[CorrelationResult] = []
     columns: list[list[float]] = []
     for column in METRICS:
@@ -321,11 +309,11 @@ def correlate_all(
         try:
             cx, cy = _paired(values, reviews)
         except DegenerateInputError as exc:
-            report.results.append(CorrelationResult(column.label, None, None, n, note=str(exc)))
+            report.results.append(CorrelationResult(column.label, None, None, note=str(exc)))
             continue
         rho = _rho(cx, cy)
         p = spearman_pvalue(rho, n)
-        tested.append(CorrelationResult(column.label, rho, p, n, significance_stars(p)))
+        tested.append(CorrelationResult(column.label, rho, p, significance_stars(p)))
         report.results.append(tested[-1])
         columns.append(cx)
     if permutations is not None and tested:  # cy is the same for every column

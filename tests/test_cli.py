@@ -17,7 +17,7 @@ from charnet import cli
 from charnet.cli import main
 from charnet.graph import EpisodeKey
 from charnet.ingest import serialize_episode
-from charnet.metrics import METRIC_BY_ATTR
+from charnet.metrics import METRIC_BY_ATTR, METRICS
 from charnet.report import METRICS_CSV_HEADER
 
 from support import build_demo_dataset, build_messy_dataset, random_segments, run_python
@@ -297,6 +297,20 @@ def test_invalid_numeric_flag_exits_two_before_reading(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["metrics", "correlate"])
+def test_table_command_without_table_format_exits_two_before_reading(
+    clean_dataset, tmp_path, monkeypatch, capsys, command
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("flags must be checked before the dataset is read")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    out = tmp_path / "out"
+    assert run_cli(command, clean_dataset, out, "--format", "svg") == 2
+    assert f"error: {command} writes tables only: --format needs csv or md" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dataset", ["clean_dataset", "messy_dataset"])
 def test_subcommands_write_what_all_writes(request, tmp_path, capsys, dataset):
     data = request.getfixturevalue(dataset)
@@ -533,6 +547,61 @@ class TestAll:
         # the manifest counts dataset warnings only
         assert (out / "manifest.txt").read_text(encoding="utf-8").endswith("warnings: 0\n")
 
+    def test_svg_format_writes_manifest_and_plots(self, clean_dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("all", clean_dataset, out, "--format", "svg") == 0
+        names = {p.name for p in out.iterdir()}
+        assert "manifest.txt" in names
+        assert len(names) == 1 + 2 * 12
+        assert all(name.endswith("_scatter.svg") for name in names - {"manifest.txt"})
+
+    @pytest.mark.parametrize("command", ["all", "correlate"])
+    def test_too_short_series_is_named_and_nothing_is_written(self, tmp_path, capsys, command):
+        segments, ratings = build_demo_dataset(tmp_path / "data")
+        for episode in (4, 5, 6):
+            (segments / f"beta_s01e{episode:02d}.json").unlink()
+        out = tmp_path / "out"
+        assert run_cli(command, (segments, ratings), out) == 2
+        captured = capsys.readouterr()
+        assert "error: series 'beta': need at least 4 rated episodes, got 3" in captured.err
+        assert captured.out == ""
+        assert not any(out.iterdir())
+
+    def test_correlation_footer_holds_notes_in_echo_order(self, messy_dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("all", messy_dataset, out, "--permutations", "1000", "--seed", "3") == 1
+        lines = (out / "gamma_correlations.csv").read_text(encoding="utf-8").splitlines()
+        pvalues = ["0.385", "0.963", "0.078", "0.318", "1.000", "0.946"]
+        pvalues += ["1.000", "0.946", "1.000", "0.957", "0.963", "0.787"]
+        labels = [column.label for column in METRICS]
+        assert lines[13:] == [
+            "# n: 5",
+            "# excluded (no rating): 1",
+            "# duplicate episodes dropped at load: 1",
+            "# efficiency mode: component-mean",
+            "# eigen tol: 1e-10",
+            "# eigen max iterations: 10000",
+            "# std convention: population",
+            "# permutations: 1000, seed: 3",
+            "# stars: ** p < 0.01, * p < 0.05 (strict thresholds, no exceptions)",
+            *(f"# permutation pValue {label}: {p}" for label, p in zip(labels, pvalues)),
+        ]
+
+    def test_every_report_carries_each_echo_line_once(self, messy_dataset, tmp_path, capsys):
+        flags = ["--permutations", "1000", "--seed", "3"]
+        out = tmp_path / "out"
+        assert run_cli("all", messy_dataset, out, *flags) == 1
+        segments, ratings = messy_dataset
+        argv = ["all", "--segments", str(segments), "--ratings", str(ratings), "--out", str(out)]
+        echo = cli._echo_lines(cli.build_parser().parse_args(argv + flags))
+        assert len(echo) == 5
+        reports = sorted(p for p in out.iterdir() if p.name != "manifest.txt")
+        assert len(reports) == 4 + 12
+        for path in reports:
+            text = path.read_text(encoding="utf-8")
+            for line in echo:
+                assert text.count(line) == 1, (path.name, line)
+
     def test_correlate_needs_four_rated(self, tmp_path, capsys):
         segments_dir = tmp_path / "segments"
         segments_dir.mkdir()
@@ -558,7 +627,7 @@ class TestAll:
             ]
         )
         assert code == 2
-        assert "at least 4 rated episodes" in capsys.readouterr().err
+        assert "series 'tiny': need at least 4 rated episodes" in capsys.readouterr().err
 
 
 def test_module_entry_point(clean_dataset, tmp_path):

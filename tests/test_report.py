@@ -144,7 +144,6 @@ def _report(with_permutation: bool = False) -> CorrelationReport:
             metric_name="Density",
             rho=0.418,
             p_value=0.0336,
-            n=26,
             significance="*",
             permutation_p=0.034 if with_permutation else None,
         ),
@@ -152,31 +151,34 @@ def _report(with_permutation: bool = False) -> CorrelationReport:
             metric_name="Active Nodes",
             rho=None,
             p_value=None,
-            n=26,
             note="x is constant",
         ),
     ]
-    return CorrelationReport(
-        series="demo", results=results, n=26, excluded=1, dedup_dropped=2
-    )
+    return CorrelationReport(results=results, n=26, excluded=1)
+
+
+NOTES = ["duplicate episodes dropped at load: 2", *ECHO]
 
 
 class TestCorrelationsCsv:
     def test_header_and_rows(self):
-        lines = render_correlations_csv(_report(), ECHO).splitlines()
+        lines = render_correlations_csv(_report(), NOTES).splitlines()
         assert lines[0] == "Metric,Correlation,pValue,Stars"
         assert lines[1] == "Density,0.418,0.034,*"
         assert lines[2] == "Active Nodes,,,"
 
     def test_footer_fields(self):
-        text = render_correlations_csv(_report(), ECHO)
-        assert "# n: 26" in text
-        assert "# excluded (no rating): 1" in text
-        assert "# duplicate episodes dropped at load: 2" in text
-        assert "# efficiency mode: component-mean" in text
-        assert "# std convention: population" in text
-        assert "# stars: ** p < 0.01, * p < 0.05 (strict thresholds, no exceptions)" in text
-        assert "# flagged Active Nodes: x is constant" in text
+        lines = render_correlations_csv(_report(with_permutation=True), NOTES).splitlines()
+        assert lines[3:] == [
+            "# n: 26",
+            "# excluded (no rating): 1",
+            "# duplicate episodes dropped at load: 2",
+            "# efficiency mode: component-mean",
+            "# eigen tol: 1e-10",
+            "# stars: ** p < 0.01, * p < 0.05 (strict thresholds, no exceptions)",
+            "# flagged Active Nodes: x is constant",
+            "# permutation pValue Density: 0.034",
+        ]
 
     def test_permutation_lines_only_when_present(self):
         without = render_correlations_csv(_report(), [])
@@ -185,10 +187,11 @@ class TestCorrelationsCsv:
         assert "# permutation pValue Density: 0.034" in with_perm
 
     def test_markdown_mirrors_cells(self):
-        md = render_correlations_markdown(_report(), ECHO)
+        md = render_correlations_markdown(_report(), NOTES)
         assert "| Density | 0.418 | 0.034 | * |" in md
         assert "| Active Nodes |  |  |  |" in md
-        assert "_n: 26_" in md
+        csv_footer = render_correlations_csv(_report(), NOTES).splitlines()[3:]
+        assert md.splitlines()[5:] == [f"_{line[2:]}_" for line in csv_footer]
 
 
 POINTS = [(0.1, 7.5), (0.4, 8.2), (0.25, 6.9), (0.33, 9.1)]

@@ -448,7 +448,6 @@ def _assert_rows_match_standalone(rows, ratings, permutations, seed, report=None
 class TestCorrelateAll:
     def test_report_shape_and_order(self):
         report = correlate_all(_demo_rows(), _demo_ratings())
-        assert report.series == "demo"
         assert report.n == 8
         assert report.excluded == 0
         assert [r.metric_name for r in report.results] == [c.label for c in METRICS]
@@ -552,12 +551,5 @@ class TestCorrelateAll:
 
     def test_insufficient_rated_episodes(self):
         rows = _demo_rows()[:3]
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError, match="series 'demo': need at least 4 rated episodes, got 3"):
             correlate_all(rows, _demo_ratings())
-
-    def test_echo_fields_carried(self):
-        report = correlate_all(
-            _demo_rows(), _demo_ratings(), efficiency_mode="neighborhood", dedup_dropped=3
-        )
-        assert report.efficiency_mode == "neighborhood"
-        assert report.dedup_dropped == 3
