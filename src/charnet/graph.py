@@ -28,6 +28,8 @@ CharacterId = str
 
 Pair = tuple[CharacterId, CharacterId]
 
+_FLOAT_MAX = sys.float_info.max
+
 
 def normalize_character(name: str) -> CharacterId:
     """Trim surrounding whitespace; names are otherwise taken verbatim.
@@ -103,19 +105,22 @@ def _add_edge(graph, a: CharacterId, b: CharacterId, seconds) -> Pair | None:
     if a == b:
         raise SelfLoopError(f"self-loop on {a!r}")
     # an int past the largest float would not convert; nan fails both compares
-    if not isinstance(seconds, (int, float)) or not 0 < seconds <= sys.float_info.max:
+    if not isinstance(seconds, (int, float)) or not 0 < seconds <= _FLOAT_MAX:
         raise NonPositiveWeightError(
             f"edge {a!r}-{b!r} needs a positive finite weight, got {seconds!r}"
         )
     pair = canonical_pair(a, b)
     graph.nodes.add(a)
     graph.nodes.add(b)
-    merged = pair in graph.edges
-    total = graph.edges.get(pair, 0.0) + float(seconds)
+    old = graph.edges.get(pair)
+    if old is None:
+        graph.edges[pair] = float(seconds)
+        return None
+    total = old + seconds
     if total == math.inf:
         raise NonPositiveWeightError(f"edge {a!r}-{b!r}: merged weights sum past the float range")
     graph.edges[pair] = total
-    return pair if merged else None
+    return pair
 
 
 def aggregate_segments(segments: list[SegmentGraph], key: EpisodeKey) -> EpisodeGraph:

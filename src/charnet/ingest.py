@@ -3,6 +3,9 @@
 One JSON file holds one episode as a list of segment graphs.  Ratings come
 from a local CSV only; nothing here ever touches the network.  Parsers are
 total: any input terminates with a parse result or a structured error.
+Each distinct character name is checked once per file, on its first sight,
+and memoized: a memo hit is the fast path and is proof of a checked name,
+while an unseen name or a malformed edge misses and takes every check.
 load_dataset records what it finds per episode on the EpisodeGraph itself
 (its warnings and dropped duplicate files); only the warnings that belong
 to no episode come back on their own.
@@ -96,12 +99,23 @@ def _line_safe(text: str, what: str, where: str = "episode file") -> None:
         raise FormatError(f"{where}: {what} {text!r} is not encodable as UTF-8") from exc
 
 
-def _character(names: dict[str, str], raw: str) -> str:
-    """The checked form of a raw name, checked on its first sight in a file."""
+def _weight(value, where: str):
+    # bool is an int subtype; reject it explicitly
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{where}: edge weight must be a number, got {value!r}")
+    return value
+
+
+def _character(names: dict[str, str], raw: str, where: str) -> str:
+    """The checked form of a raw name, checked on its first sight in a file.
+
+    A name enters the memo only once every check has passed, so a memo hit
+    is proof of a checked string name: the parse loop looks names up in
+    `names` directly and comes here only on a miss."""
     name = names.get(raw)
     if name is None:
         name = normalize_character(raw)
-        _line_safe(name, "character name")
+        _line_safe(name, "character name", where)
         names[raw] = name
     return name
 
@@ -157,19 +171,28 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
             nodes_json = seg_json.get("nodes", [])
             if not isinstance(nodes_json, list):
                 raise FormatError(f"{where}: nodes must be a list")
-            for name in nodes_json:
-                seg.nodes.add(_character(names, _text(name, "node name", where)))
+            try:
+                seg.nodes.update(map(names.__getitem__, nodes_json))
+            except (KeyError, TypeError):  # a name not yet checked: check the list from its start
+                for name in nodes_json:
+                    seg.nodes.add(_character(names, _text(name, "node name", where), where))
 
             edges_json = seg_json.get("edges", [])
             if not isinstance(edges_json, list):
                 raise FormatError(f"{where}: edges must be a list")
             for edge_json in edges_json:
-                a = _text(_require(edge_json, "a", where), "edge endpoint", where)
-                b = _text(_require(edge_json, "b", where), "edge endpoint", where)
-                w = _require(edge_json, "w", where)
-                if isinstance(w, bool) or not isinstance(w, (int, float)):
-                    raise FormatError(f"{where}: edge weight must be a number, got {w!r}")
-                merged = _add_edge(seg, _character(names, a), _character(names, b), w)
+                try:
+                    a = names[edge_json["a"]]
+                    b = names[edge_json["b"]]
+                    w = edge_json["w"]
+                except (KeyError, TypeError):  # a name not yet checked, or a malformed edge
+                    a = _text(_require(edge_json, "a", where), "edge endpoint", where)
+                    b = _text(_require(edge_json, "b", where), "edge endpoint", where)
+                    w = _weight(_require(edge_json, "w", where), where)
+                    a, b = _character(names, a, where), _character(names, b, where)
+                else:
+                    _weight(w, where)
+                merged = _add_edge(seg, a, b, w)
                 if merged:
                     warnings.append(f"{where}: duplicate edge {merged[0]}-{merged[1]} merged")
         except (SelfLoopError, NonPositiveWeightError, InvariantError) as exc:

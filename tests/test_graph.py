@@ -87,6 +87,13 @@ class TestAddInteraction:
         with pytest.raises(NonPositiveWeightError, match="'B'-'A'"):
             add_interaction(g, "B", "A", 1e308)
 
+    def test_int_weight_is_stored_as_float(self):
+        g = SegmentGraph(index=0)
+        add_interaction(g, "A", "B", 2)
+        assert type(g.edges[("A", "B")]) is float
+        add_interaction(g, "B", "A", 3)
+        assert type(g.edges[("A", "B")]) is float and g.edges[("A", "B")] == 5.0
+
     def test_works_on_episode_graphs_too(self):
         g = EpisodeGraph(key=KEY)
         add_interaction(g, "A", "B", 2.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import weakref
 
@@ -172,7 +173,8 @@ class TestParseSegmentFile:
     def test_lone_surrogate(self, overrides):
         # json.dumps writes the surrogate as a \uXXXX escape, which json.loads
         # decodes back to a str that no UTF-8 report can hold
-        with pytest.raises(FormatError, match="not encodable as UTF-8"):
+        where = "episode file: series" if "series" in overrides else "segment 0: character name"
+        with pytest.raises(FormatError, match=f"^{where} .* is not encodable as UTF-8$"):
             parse_segment_file(minimal_file(**overrides))
 
     @pytest.mark.parametrize(
@@ -192,7 +194,9 @@ class TestParseSegmentFile:
             segment["nodes"] = [name]
         else:
             segment["edges"].append({"a": "B", "b": name, "w": 1.0})
-        with pytest.raises(FormatError, match="must not contain control characters"):
+        with pytest.raises(
+            FormatError, match="^segment 0: character name .* must not contain control characters$"
+        ):
             parse_segment_file(minimal_file(segments=[segment]))
 
     @pytest.mark.parametrize("place", ["nodes", "edge endpoint"])
@@ -204,6 +208,62 @@ class TestParseSegmentFile:
             segment["edges"].append({"a": "B", "b": "\n", "w": 1.0})
         with pytest.raises(InvariantError, match="segment 0: character name is empty after trimming"):
             parse_segment_file(minimal_file(segments=[segment]))
+
+    @pytest.mark.parametrize(
+        "segment",
+        [
+            *(
+                {"index": 1, "edges": [edge]}
+                for edge in [
+                    {"a": "A", "b": "B", "w": "fast"},
+                    {"a": "A", "b": "B", "w": True},
+                    {"a": "A", "b": "B", "w": None},
+                    {"a": "A", "b": "B", "w": 0.0},
+                    {"a": "A", "b": "B", "w": -4.0},
+                    {"a": "A", "b": "B", "w": 2**1024},
+                    {"a": "A", "b": "B", "w": math.nan},
+                    {"a": "A", "b": "B", "w": math.inf},
+                    {"a": "A", "b": "B"},
+                    {"b": "B", "w": 1.0},
+                    {"a": "A", "w": 1.0},
+                    {"a": 1, "b": "B", "w": 1.0},
+                    {"a": ["A"], "b": "B", "w": 1.0},
+                    {"a": "A", "b": "A", "w": 1.0},
+                    {"a": "A", "b": " A ", "w": 1.0},
+                    {"a": "A", "b": "", "w": 1.0},
+                    {"a": "A", "b": "Lo\x85ne", "w": 1.0},
+                    {"a": "A", "b": "\ud800", "w": 1.0},
+                    {"a": " ", "b": "B", "w": "fast"},
+                    "nope",
+                    ["A", "B", 1.0],
+                    None,
+                ]
+            ),
+            *(
+                {"index": 1, "nodes": nodes, "edges": []}
+                for nodes in [["A", 3], ["A", {}], ["A", " "], ["A", "B", "\n"], ["A", "\ud800"]]
+            ),
+        ],
+    )
+    def test_warm_name_memo_changes_no_error(self, segment):
+        # segment 0 leaves the name memo cold for A and B, or warm with A,
+        # B and " A ": either way segment 1 must fail with the same error
+        cold = {"index": 0, "edges": [{"a": "X", "b": "Y", "w": 1.0}]}
+        warm = {"index": 0, "nodes": [" A "], "edges": [{"a": "A", "b": "B", "w": 1.0}]}
+        errors = []
+        for first in (cold, warm):
+            with pytest.raises(CharnetError) as caught:
+                parse_segment_file(minimal_file(segments=[first, segment]))
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][1].startswith("segment 1: ")
+
+    def test_warm_name_memo_merges_duplicates_alike(self):
+        first = {"index": 0, "edges": [{"a": "A", "b": "B", "w": 1.0}]}
+        twice = {"index": 1, "edges": [{"a": "A", "b": "B", "w": 0.1}, {"a": "B", "b": "A", "w": 0.2}]}
+        parsed = parse_segment_file(minimal_file(segments=[first, twice]))
+        assert parsed.warnings == ["segment 1: duplicate edge A-B merged"]
+        assert parsed.segments[1].edges[("A", "B")].hex() == (0.1 + 0.2).hex()
 
     def test_surrogate_pair_escape_accepted(self):
         parsed = parse_segment_file(minimal_file(series="s\U0001f600"))
