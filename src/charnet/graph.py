@@ -13,8 +13,9 @@ every question about their shape, components included, on one index.
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     EmptyEpisodeError,
@@ -47,29 +48,47 @@ def canonical_pair(a: CharacterId, b: CharacterId) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True, order=True)
-class EpisodeKey:
+class EpisodeKey(namedtuple("EpisodeKey", "series season episode")):
     """Identity of one episode; sorts lexicographically by (series, season, episode)."""
 
-    series: str
-    season: int
-    episode: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.series} {self.season} {self.episode}"
 
 
-@dataclass
-class SegmentGraph:
+class _Record:
+    """Value equality and a keyword repr over a class's __slots__, in slot
+    order; unequal to any other type.  Defining __eq__ alone leaves records
+    unhashable, as fits mutable values.  Records can be weakly referenced."""
+
+    __slots__ = ("__weakref__",)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = operator.attrgetter(*self.__slots__)
+        return fields(self) == fields(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SegmentGraph(_Record):
     """Character interactions within one ten-scene window of an episode."""
 
-    index: int
-    nodes: set[CharacterId] = field(default_factory=set)
-    edges: dict[Pair, float] = field(default_factory=dict)
+    __slots__ = ("index", "nodes", "edges")
+
+    def __init__(
+        self, index: int, nodes: set[CharacterId] | None = None, edges: dict[Pair, float] | None = None
+    ) -> None:
+        self.index = index
+        self.nodes = set() if nodes is None else nodes
+        self.edges = {} if edges is None else edges
 
 
-@dataclass
-class EpisodeGraph:
+class EpisodeGraph(_Record):
     """Weighted union of an episode's segment graphs, with its load facts.
 
     ordinal is the 1-based position of the episode within its series (the
@@ -79,13 +98,25 @@ class EpisodeGraph:
     loader skipped.
     """
 
-    key: EpisodeKey
-    nodes: set[CharacterId] = field(default_factory=set)
-    edges: dict[Pair, float] = field(default_factory=dict)
-    segment_count: int = 0
-    ordinal: int = 0
-    warnings: list[str] = field(default_factory=list)
-    duplicates_dropped: int = 0
+    __slots__ = ("key", "nodes", "edges", "segment_count", "ordinal", "warnings", "duplicates_dropped")
+
+    def __init__(
+        self,
+        key: EpisodeKey,
+        nodes: set[CharacterId] | None = None,
+        edges: dict[Pair, float] | None = None,
+        segment_count: int = 0,
+        ordinal: int = 0,
+        warnings: list[str] | None = None,
+        duplicates_dropped: int = 0,
+    ) -> None:
+        self.key = key
+        self.nodes = set() if nodes is None else nodes
+        self.edges = {} if edges is None else edges
+        self.segment_count = segment_count
+        self.ordinal = ordinal
+        self.warnings = [] if warnings is None else warnings
+        self.duplicates_dropped = duplicates_dropped
 
 
 def add_interaction(graph, a: CharacterId, b: CharacterId, seconds: float):

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -34,6 +33,7 @@ from .graph import (
     EpisodeKey,
     SegmentGraph,
     _add_edge,
+    _Record,
     aggregate_segments,
     normalize_character,
 )
@@ -44,13 +44,15 @@ RATING_MIN = 1.0
 RATING_MAX = 10.0
 
 
-@dataclass
-class ParsedEpisode:
+class ParsedEpisode(_Record):
     """One parsed episode file: identity, segments in file order, parse warnings."""
 
-    key: EpisodeKey
-    segments: list[SegmentGraph]
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("key", "segments", "warnings")
+
+    def __init__(self, key: EpisodeKey, segments: list[SegmentGraph], warnings: list[str] | None = None) -> None:
+        self.key = key
+        self.segments = segments
+        self.warnings = [] if warnings is None else warnings
 
 
 def _require(mapping: dict, key: str, where: str):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import zip_longest
 
@@ -41,48 +41,19 @@ from .errors import (
     EmptyVectorError,
     NoEdgesError,
 )
-from .graph import CharacterId, EpisodeGraph, EpisodeKey
+from .graph import CharacterId, EpisodeGraph, EpisodeKey, _Record
 
 
-@dataclass(frozen=True)
-class MetricsConfig:
-    """Knobs for metric computation, echoed into every report."""
+MetricsConfig = namedtuple(
+    "MetricsConfig", "efficiency_mode eigen_tol eigen_max_iter", defaults=("component-mean", 1e-10, 10000)
+)
+MetricsConfig.__doc__ = "Knobs for metric computation, echoed into every report."
 
-    efficiency_mode: str = "component-mean"
-    eigen_tol: float = 1e-10
-    eigen_max_iter: int = 10000
-
-
-@dataclass
-class EpisodeMetrics:
-    """The 12-column metric row for one episode."""
-
-    key: EpisodeKey
-    ordinal: int = 0
-    active_nodes: int = 0
-    density: float = 0.0
-    efficiency: float = 0.0
-    transitivity: float = 0.0
-    strength_max: float = 0.0
-    strength_std: float = 0.0
-    degree_max: int = 0
-    degree_std: float = 0.0
-    harmonic_max: float = 0.0
-    harmonic_std: float = 0.0
-    eigen_max: float = 0.0
-    eigen_std: float = 0.0
-    warnings: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class MetricColumn:
-    """Names one metric column everywhere it appears."""
-
-    attr: str  # EpisodeMetrics field name, also the CLI --metric spelling
-    header: str  # metrics CSV column header
-    label: str  # correlation-table row label
-    integer: bool = False  # rendered without decimals
-
+# attr: EpisodeMetrics attribute, also the CLI --metric spelling; header:
+# metrics CSV column header; label: correlation-table row label; integer:
+# rendered without decimals.
+MetricColumn = namedtuple("MetricColumn", "attr header label integer", defaults=(False,))
+MetricColumn.__doc__ = "Names one metric column everywhere it appears."
 
 METRICS: tuple[MetricColumn, ...] = (
     MetricColumn("active_nodes", "Active_Nodes", "Active Nodes", integer=True),
@@ -100,6 +71,23 @@ METRICS: tuple[MetricColumn, ...] = (
 )
 
 METRIC_BY_ATTR = {column.attr: column for column in METRICS}
+
+
+class EpisodeMetrics(_Record):
+    """The 12-column metric row for one episode: one attribute per METRICS
+    column, 0 until computed (an int in integer columns), then warnings."""
+
+    __slots__ = ("key", "ordinal", *(column.attr for column in METRICS), "warnings")
+
+    def __init__(self, key: EpisodeKey, ordinal: int = 0, *, warnings: list[str] | None = None, **cells) -> None:
+        self.key = key
+        self.ordinal = ordinal
+        for column in METRICS:
+            setattr(self, column.attr, cells.pop(column.attr, 0 if column.integer else 0.0))
+        if cells:
+            raise TypeError(f"EpisodeMetrics() got an unexpected keyword argument {next(iter(cells))!r}")
+        self.warnings = [] if warnings is None else warnings
+
 
 EFFICIENCY_MODES = ("component-mean", "neighborhood")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 
 from .errors import (
     ConvergenceError,
@@ -23,7 +22,7 @@ from .errors import (
     LengthMismatchError,
     NonFiniteError,
 )
-from .graph import EpisodeKey
+from .graph import EpisodeKey, _Record
 from .metrics import METRICS, EpisodeMetrics
 
 _BETA_EPS = 1e-12
@@ -31,29 +30,41 @@ _BETA_FPMIN = 1e-300
 _BETA_MAX_ITER = 300
 
 
-@dataclass
-class CorrelationResult:
+class CorrelationResult(_Record):
     """One metric column against the review column.
 
     rho and p_value are None when the column was degenerate (constant);
     note says why.  significance: '**' p < 0.01, '*' p < 0.05, else ''.
     """
 
-    metric_name: str
-    rho: float | None
-    p_value: float | None
-    significance: str = ""
-    note: str = ""
-    permutation_p: float | None = None
+    __slots__ = ("metric_name", "rho", "p_value", "significance", "note", "permutation_p")
+
+    def __init__(
+        self,
+        metric_name: str,
+        rho: float | None,
+        p_value: float | None,
+        significance: str = "",
+        note: str = "",
+        permutation_p: float | None = None,
+    ) -> None:
+        self.metric_name = metric_name
+        self.rho = rho
+        self.p_value = p_value
+        self.significance = significance
+        self.note = note
+        self.permutation_p = permutation_p
 
 
-@dataclass
-class CorrelationReport:
+class CorrelationReport(_Record):
     """All 12 metric correlations for one series, over n rated episodes."""
 
-    results: list[CorrelationResult] = field(default_factory=list)
-    n: int = 0
-    excluded: int = 0
+    __slots__ = ("results", "n", "excluded")
+
+    def __init__(self, results: list[CorrelationResult] | None = None, n: int = 0, excluded: int = 0) -> None:
+        self.results = [] if results is None else results
+        self.n = n
+        self.excluded = excluded
 
 
 def significance_stars(p: float) -> str:
