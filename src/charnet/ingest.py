@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 from .errors import (
@@ -76,10 +77,9 @@ def _text(value, what: str, where: str) -> str:
     return value
 
 
-def _has_control(text: str) -> bool:
-    """True if text holds a C0 or C1 control character, DEL, or a line or
-    paragraph separator (U+2028, U+2029): no report line may hold one."""
-    return any(ord(ch) < 32 or 127 <= ord(ch) < 160 or ch in "\u2028\u2029" for ch in text)
+# a match is a C0 or C1 control character, DEL, or a line or paragraph
+# separator (U+2028, U+2029): no report line may hold one
+_has_control = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]").search
 
 
 def _file_safe(series: str, where: str) -> None:

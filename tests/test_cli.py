@@ -336,7 +336,7 @@ def test_runtime_imports_only_stdlib():
     src = Path(charnet.__file__).resolve().parent.parent
     probe = (
         "import sys, charnet, charnet.cli; "
-        "print(sorted(m for m in ('numpy', 'networkx', 'scipy', 'dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('numpy', 'networkx', 'scipy', 'mpmath', 'dataclasses', 'inspect') if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],

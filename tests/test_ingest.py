@@ -199,6 +199,13 @@ class TestParseSegmentFile:
         ):
             parse_segment_file(minimal_file(segments=[segment]))
 
+    def test_control_set_is_c0_del_c1_and_the_separators(self):
+        documented = {*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029}
+        flagged = {c for c in range(0x110000) if ingest._has_control(chr(c))}
+        assert flagged == documented
+        assert ingest._has_control("Jon Snow\x1f") and ingest._has_control("\u2029Arya")
+        assert not ingest._has_control("Daenerys Targaryen, \u00e9\u00a0\u202f\U0001f3ac")
+
     @pytest.mark.parametrize("place", ["nodes", "edge endpoint"])
     def test_bare_line_break_is_empty_after_trimming(self, place):
         segment = {"index": 0, "edges": [{"a": "A", "b": "B", "w": 1.0}]}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from charnet import stats
+from charnet import report, stats
 from charnet.errors import (
     DegenerateInputError,
     DomainError,
@@ -24,7 +24,6 @@ from charnet.stats import (
     correlate_all,
     permutation_pvalue,
     rank_with_ties,
-    regularized_incomplete_beta,
     significance_stars,
     spearman_pvalue,
     spearman_rho,
@@ -169,40 +168,6 @@ class TestSpearmanRho:
         assert spearman_rho(x, y) == pytest.approx(spearman_shortcut(x, y), abs=1e-12)
 
 
-class TestRegularizedIncompleteBeta:
-    def test_endpoints(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-    def test_uniform_case_is_identity(self):
-        for x in (0.1, 0.25, 0.5, 0.75, 0.9):
-            assert regularized_incomplete_beta(1.0, 1.0, x) == pytest.approx(
-                x, abs=1e-12
-            )
-
-    def test_arcsine_midpoint(self):
-        assert regularized_incomplete_beta(0.5, 0.5, 0.5) == pytest.approx(
-            0.5, abs=1e-12
-        )
-
-    def test_reflection_symmetry(self):
-        for a, b, x in ((2.0, 5.0, 0.3), (11.0, 0.5, 0.62), (1.5, 1.5, 0.8)):
-            left = regularized_incomplete_beta(a, b, x)
-            right = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
-            assert left == pytest.approx(right, abs=1e-12)
-
-    def test_monotone_in_x(self):
-        values = [
-            regularized_incomplete_beta(3.0, 2.0, x / 20.0) for x in range(21)
-        ]
-        assert values == sorted(values)
-
-    @pytest.mark.parametrize("a,b,x", [(-1.0, 2.0, 0.5), (2.0, 0.0, 0.5), (2.0, 2.0, 1.5), (2.0, 2.0, -0.1)])
-    def test_domain_errors(self, a, b, x):
-        with pytest.raises(DomainError):
-            regularized_incomplete_beta(a, b, x)
-
-
 class TestSpearmanPvalue:
     # anchors from data/reference/reference_correlations.csv, rounded to 3
     # decimals there; the t approximation must land within 0.001 of each
@@ -221,11 +186,24 @@ class TestSpearmanPvalue:
         assert spearman_pvalue(rho, n) == pytest.approx(expected, abs=1e-3)
 
     def test_perfect_correlation(self):
-        assert spearman_pvalue(1.0, 10) == 0.0
-        assert spearman_pvalue(-1.0, 10) == 0.0
+        for n in (4, 5, 10, 11):  # even and odd df
+            assert spearman_pvalue(1.0, n) == 0.0
+            assert spearman_pvalue(-1.0, n) == 0.0
 
     def test_zero_rho(self):
-        assert spearman_pvalue(0.0, 12) == pytest.approx(1.0, abs=1e-12)
+        for n in (4, 5, 12, 13):
+            assert spearman_pvalue(0.0, n) == pytest.approx(1.0, abs=1e-12)
+
+    def test_two_df_tail_is_one_minus_abs_rho(self):
+        # the t_2 tail: P(|T| > t) = 1 - t / sqrt(2 + t^2) = 1 - |rho| at df = 2
+        for rho in (-0.93, -0.4, 0.05, 0.5, 0.999):
+            assert spearman_pvalue(rho, 4) == pytest.approx(1.0 - abs(rho), abs=1e-15)
+
+    def test_tail_is_clamped_at_zero(self):
+        # unclamped, the finite sum lands at -2.2e-16 here and prints -0.000
+        p = spearman_pvalue(0.7591299450687021, 101)
+        assert p >= 0.0
+        assert report.fmt_real(p) == "0.000"
 
     def test_sign_symmetry(self):
         for rho in (0.1, 0.37, 0.82):
@@ -242,20 +220,36 @@ class TestSpearmanPvalue:
             spearman_pvalue(math.nan, 10)
 
     def test_matches_quadrature_oracle(self):
-        for n in (5, 10, 24, 40):
+        for n in (4, 5, 7, 10, 24, 31, 40):  # even and odd df
             df = n - 2
-            for rho in (0.05, 0.2, 0.45, 0.7):
+            for rho in (0.05, -0.2, 0.45, -0.7, 0.9):
                 t = abs(rho) * math.sqrt(df / (1.0 - rho * rho))
                 expected = t_two_tailed_quadrature(t, df)
                 assert spearman_pvalue(rho, n) == pytest.approx(expected, abs=1e-8)
 
     def test_monotone_in_effect_size(self):
-        ps = [spearman_pvalue(rho / 100.0, 20) for rho in range(0, 100, 5)]
-        assert all(a > b for a, b in zip(ps, ps[1:]))
+        for n in (20, 21):  # even and odd df
+            ps = [spearman_pvalue(rho / 100.0, n) for rho in range(0, 100, 5)]
+            assert all(a > b for a, b in zip(ps, ps[1:]))
 
     def test_monotone_in_sample_size(self):
-        ps = [spearman_pvalue(0.45, n) for n in range(5, 60, 5)]
+        # step 1, so every step crosses from one df parity's sum to the other's
+        ps = [spearman_pvalue(0.45, n) for n in range(4, 60)]
         assert all(a > b for a, b in zip(ps, ps[1:]))
+
+    def test_matches_incomplete_beta_to_full_precision(self):
+        # the t tail is I_{df/(df+t^2)}(df/2, 1/2), here at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2604)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for i in range(300):
+                n = rng.randint(4, 300)
+                rho = rng.uniform(0.9, 1.0) if i % 3 == 0 else rng.uniform(-1.0, 1.0)
+                x = 1 - mpmath.mpf(rho) ** 2  # df/(df+t^2), without forming t
+                exact = mpmath.betainc(mpmath.mpf(n - 2) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True)
+                worst = max(worst, abs(spearman_pvalue(rho, n) - float(exact)))
+        assert worst <= 1e-14
 
 
 class TestPermutationPvalue:
