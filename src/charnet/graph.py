@@ -131,8 +131,10 @@ def add_interaction(graph, a: CharacterId, b: CharacterId, seconds: float):
 
 def _add_edge(graph, a: CharacterId, b: CharacterId, seconds) -> Pair | None:
     """Add an edge between normalized names: the one home of the edge rules
-    (no self-loops; weights and their sums positive finite floats).  Returns
-    the pair if it already had an edge, now merged, else None."""
+    (no self-loops; weights and their sums positive finite floats).  ingest's
+    parse loop stores inline only a new pair that these rules would store
+    unchanged; every other edge, error and merge comes through here, its slow
+    path.  Returns the pair if it already had an edge, now merged, else None."""
     if a == b:
         raise SelfLoopError(f"self-loop on {a!r}")
     # an int past the largest float would not convert; nan fails both compares
@@ -164,11 +166,13 @@ def aggregate_segments(segments: list[SegmentGraph], key: EpisodeKey) -> Episode
     if not segments:
         raise EmptyEpisodeError(f"episode {key} has no segments")
     episode = EpisodeGraph(key=key, segment_count=len(segments))
+    edges = episode.edges
+    get = edges.get
     for segment in segments:
         episode.nodes.update(segment.nodes)
         for pair, weight in segment.edges.items():
-            episode.edges[pair] = episode.edges.get(pair, 0.0) + weight
-    for (a, b), weight in episode.edges.items():
+            edges[pair] = get(pair, 0.0) + weight
+    for (a, b), weight in edges.items():
         if weight == math.inf:  # positive finite weights can only overflow upward
             raise NonPositiveWeightError(f"episode {key}: weights of {a}-{b} sum past the float range")
     return episode

@@ -6,6 +6,10 @@ total: any input terminates with a parse result or a structured error.
 Each distinct character name is checked once per file, on its first sight,
 and memoized: a memo hit is the fast path and is proof of a checked name,
 while an unseen name or a malformed edge misses and takes every check.
+On a memo hit, an edge that graph's edge rules would accept unchanged (a
+new pair of distinct names, a positive finite float weight) is stored
+inline; every other edge takes graph._add_edge, the slow path and the one
+home of those rules.
 load_dataset records what it finds per episode on the EpisodeGraph itself
 (its warnings and dropped duplicate files); only the warnings that belong
 to no episode come back on their own.
@@ -30,6 +34,7 @@ from .errors import (
     SelfLoopError,
 )
 from .graph import (
+    _FLOAT_MAX,
     EpisodeGraph,
     EpisodeKey,
     SegmentGraph,
@@ -182,6 +187,7 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
             edges_json = seg_json.get("edges", [])
             if not isinstance(edges_json, list):
                 raise FormatError(f"{where}: edges must be a list")
+            nodes, edges = seg.nodes, seg.edges
             for edge_json in edges_json:
                 try:
                     a = names[edge_json["a"]]
@@ -193,6 +199,14 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
                     w = _weight(_require(edge_json, "w", where), where)
                     a, b = _character(names, a, where), _character(names, b, where)
                 else:
+                    # a new pair, positive finite float weight: stored as _add_edge would
+                    if type(w) is float and 0.0 < w <= _FLOAT_MAX and a != b:
+                        pair = (a, b) if a < b else (b, a)
+                        if pair not in edges:
+                            edges[pair] = w
+                            nodes.add(a)
+                            nodes.add(b)
+                            continue
                     _weight(w, where)
                 merged = _add_edge(seg, a, b, w)
                 if merged:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 import weakref
 
 import pytest
@@ -18,9 +19,10 @@ from charnet.errors import (
     EmptyDatasetError,
     FormatError,
     InvariantError,
+    NonPositiveWeightError,
     RangeError,
 )
-from charnet.graph import EpisodeKey
+from charnet.graph import EpisodeKey, SegmentGraph, add_interaction, canonical_pair, normalize_character
 from charnet.ingest import (
     load_dataset,
     parse_ratings_csv,
@@ -372,6 +374,80 @@ def test_round_trip(seed):
     for ours, theirs in zip(segments, parsed.segments):
         assert theirs.nodes == ours.nodes
         assert theirs.edges == ours.edges  # weights exact, not approximate
+
+
+# Raw names that trim to four distinct characters, so one character can be
+# first sighted under one spelling and hit the memo under another.
+_RAW_NAMES = [pad + name + end for name in ("Ann", "Bo", "Cy", "Dee") for pad in ("", " ") for end in ("", " ")]
+_DIFF_WEIGHTS = st.one_of(
+    st.integers(1, 10**6),
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    st.sampled_from([5e-324, sys.float_info.max]),
+)
+_DIFF_EDGES = st.tuples(st.sampled_from(_RAW_NAMES), st.sampled_from(_RAW_NAMES), _DIFF_WEIGHTS).filter(
+    lambda edge: edge[0].strip() != edge[1].strip()
+)
+_DIFF_SEGMENTS = st.lists(
+    st.tuples(st.lists(st.sampled_from(_RAW_NAMES), max_size=3), st.lists(_DIFF_EDGES, max_size=8)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _reference_parse(segments):
+    """(segments, warnings) built with the public add_interaction, which
+    always applies the edge rules through graph._add_edge."""
+    built, warnings = [], []
+    for position, (nodes, edges) in enumerate(segments):
+        where = f"segment {position}"
+        seg = SegmentGraph(index=position)
+        seg.nodes.update(normalize_character(name) for name in nodes)
+        for a, b, w in edges:
+            pair = canonical_pair(normalize_character(a), normalize_character(b))
+            merged = pair in seg.edges
+            try:
+                add_interaction(seg, a, b, w)
+            except NonPositiveWeightError as exc:
+                raise InvariantError(f"{where}: {exc}") from exc
+            if merged:
+                warnings.append(f"{where}: duplicate edge {pair[0]}-{pair[1]} merged")
+        if not seg.edges:
+            warnings.append(f"{where}: no edges")
+        built.append(seg)
+    return built, warnings
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DIFF_SEGMENTS)
+# a float pair stored by the parse loop itself, then repeated with an int weight
+@example([(["Ann", "Bo"], [("Ann", "Bo", 0.5), ("Bo", "Ann", 3)])])
+# the largest float stored by the parse loop itself, then repeated: the sum overflows
+@example([(["Ann", "Bo"], [("Ann", "Bo", sys.float_info.max), ("Bo", "Ann", sys.float_info.max)])])
+def test_parse_matches_add_interaction(segments):
+    doc = {
+        "series": "diff",
+        "season": 1,
+        "episode": 1,
+        "segments": [
+            {"index": position, "nodes": nodes, "edges": [{"a": a, "b": b, "w": w} for a, b, w in edges]}
+            for position, (nodes, edges) in enumerate(segments)
+        ],
+    }
+    try:
+        expected, expected_warnings = _reference_parse(segments)
+    except InvariantError as exc:
+        with pytest.raises(InvariantError) as raised:
+            parse_segment_file(json.dumps(doc))
+        assert str(raised.value) == str(exc)
+        return
+    parsed = parse_segment_file(json.dumps(doc))
+    assert parsed.warnings == expected_warnings
+    assert len(parsed.segments) == len(expected)
+    for ours, theirs in zip(parsed.segments, expected):
+        assert ours.nodes == theirs.nodes
+        assert [(pair, w.hex()) for pair, w in ours.edges.items()] == [
+            (pair, w.hex()) for pair, w in theirs.edges.items()
+        ]
 
 
 class TestParseRatingsCsv:
