@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import shlex
 from pathlib import Path
 
 from charnet import EpisodeKey, SegmentGraph, add_interaction, serialize_episode
@@ -73,10 +74,8 @@ def main() -> int:
     total = len(args.series) * args.episodes
     print(f"wrote {total} episode files under {segments_dir}")
     print(f"wrote {ratings_csv}")
-    print(
-        "next: charnet all"
-        f" --segments {segments_dir} --ratings {ratings_csv} --out {args.out / 'reports'}"
-    )
+    quoted = [shlex.quote(str(path)) for path in (segments_dir, ratings_csv, args.out / "reports")]
+    print("next: charnet all --segments {} --ratings {} --out {}".format(*quoted))
     return 0
 
 

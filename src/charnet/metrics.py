@@ -313,6 +313,11 @@ def eigenvector_vector(
     (Bonacich, J. Math. Sociol. 2(1), 1972), so no visiting order can
     show in them.  Past 120 bits every count is shifted right by one
     common amount that keeps 60; the shift acts on each count alone.
+    A step forms the float iterate and its full max-norm delta only when
+    one watched coordinate, the one that changed most at the last full
+    check, moved by less than tol: its change bounds the delta from below.
+    The last step max_iter allows is always checked in full, so results
+    and error text are those of checking every step.
     """
     index = _index(graph)
     nbr = index.nbr
@@ -323,19 +328,24 @@ def eigenvector_vector(
 
     n = len(nbr)
     y = [1] * n
-    x = [1.0 / math.sqrt(n)] * n
+    norm = math.sqrt(n)
     delta = math.inf
-    for _ in range(max_iter):
-        y = [sum(get(y)) for get in closed]
+    watch = 0
+    for left in reversed(range(max_iter)):  # steps left after this one
+        prev, prev_norm = y, norm
+        y = [sum(get(prev)) for get in closed]
         top = max(y).bit_length()
         if top > 120:
             y = [v >> (top - 60) for v in y]
-        norm = math.sqrt(sum(v * v for v in y))
+        norm = math.sqrt(sum(map(operator.mul, y, y)))
+        if left and abs(y[watch] / norm - prev[watch] / prev_norm) >= tol:
+            continue
         step = [v / norm for v in y]
-        delta = max(map(abs, map(operator.sub, step, x)))
-        x = step
+        diffs = list(map(abs, map(operator.sub, step, [v / prev_norm for v in prev])))
+        delta = max(diffs)
         if delta < tol:
-            return dict(zip(index.position, x))
+            return dict(zip(index.position, step))
+        watch = diffs.index(delta)
     raise ConvergenceError(
         f"power iteration missed tol={tol:g} after {max_iter} iterations (last delta {delta:.3e})"
     )

@@ -155,6 +155,10 @@ def spearman_pvalue(rho: float, n: int) -> float:
     return max(0.0, p)
 
 
+# bytes of shuffled y values that one batch of the permutation test packs
+_BATCH_BYTES = 4096
+
+
 def check_permutations(iterations: int) -> None:
     """The one floor on permutation counts, for the CLI and both entry points."""
     if iterations < 1000:
@@ -171,19 +175,24 @@ def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]
 
     The dots run in exact integers.  Centered ranks are half-integers, so
     2c + n is a non-negative integer, and as each column sums to 0,
-    sum (2a + n)(2b + n) = 4*dot + n^3, which lies in [0, 2n^3].  Every
-    column gets a bit field in one packed int per position, so one
-    multiply-accumulate per shuffle yields all the dots at once.
+    sum (2a + n)(2b + n) = 4*dot + n^3, which lies in [0, 2n^3].  Each
+    value of y is a little-endian field of `size` bytes, enough for
+    bits(2n^3) + 1 bits whatever the iteration count, and the fields
+    themselves are shuffled: the draws do not depend on the values.  Each
+    shuffle's fields are appended to a batch of about _BATCH_BYTES, and
+    strided slices transpose the batch into one int per position, holding
+    that position's value in every shuffle of the batch, one field each.
+    So per batch one multiply-accumulate per column yields the column's
+    dot for every shuffle, each in its own field.
 
-    The hit test is packed too.  A field is max(bits(2n^3), bits(iterations))
-    + 1 bits wide, and its top bit is a guard that no dot reaches.  A field
-    is an integer, so |4*dot| >= limit_c holds exactly when the field is at
-    least hi_c = n^3 + k_c or at most lo_c = n^3 - k_c, with k_c =
-    ceil(limit_c).  Adding guard - hi_c to a field sets its guard bit iff
-    field >= hi_c, and adding guard - lo_c - 1 sets it iff field > lo_c;
-    neither sum carries out of its field.  So each shuffle leaves every
-    column's hit in its guard bit, and the hits add up there: a count of
-    at most `iterations` fits in the bits up to the next field's guard.
+    The hit test is packed too.  A field's top bit is a guard above 2n^3,
+    which no dot reaches.  A field is an integer, so |4*dot| >= limit_c
+    holds exactly when the field is at least hi_c = n^3 + k_c or at most
+    lo_c = n^3 - k_c, with k_c = ceil(limit_c).  Adding guard - hi_c to a
+    field sets its guard bit iff field >= hi_c, and adding guard - lo_c - 1
+    sets it iff field > lo_c; as k_c <= n^3, neither sum is negative or
+    carries out of its field.  So each shuffle leaves its hit in its own
+    field's guard bit, and a popcount per batch adds the column's hits.
     """
     check_permutations(iterations)
     observed = [abs(sum(a * b for a, b in zip(cx, cy))) for cx in columns]
@@ -192,27 +201,35 @@ def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]
     bounds = [math.ceil(4 * (o - 1e-9 * max(1.0, o))) for o in observed]
     n = len(cy)
     cube = n**3
-    width = max((2 * cube).bit_length(), iterations.bit_length()) + 1
-    guard = 1 << (width - 1)
-    lanes = [0] * n
-    add_hi = add_lo = guards = 0
-    for c, (cx, k) in enumerate(zip(columns, bounds)):
-        shift = c * width
-        for i, a in enumerate(cx):
-            lanes[i] |= _doubled(a, n) << shift
-        add_hi |= (guard - cube - k) << shift
-        add_lo |= (guard - cube + k - 1) << shift
-        guards |= guard << shift
-    ys = [_doubled(b, n) for b in cy]
+    size = ((2 * cube).bit_length() + 8) // 8
+    guard = 1 << (8 * size - 1)
+    weights = [[_doubled(a, n) for a in cx] for cx in columns]
+    fields = [_doubled(b, n).to_bytes(size, "little") for b in cy]
     getrandbits = random.Random(seed).getrandbits
     steps = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
-    acc = 0
-    for _ in range(iterations):
-        _shuffle(ys, getrandbits, steps)
-        total = sum(map(operator.mul, ys, lanes))
-        acc += ((total + add_hi) | ~(total + add_lo)) & guards
-    mask = (1 << width) - 1
-    hits = [acc >> (c * width + width - 1) & mask for c in range(len(columns))]
+    row = n * size
+    batch = max(1, _BATCH_BYTES // row)
+    join = b"".join
+    hits = [0] * len(columns)
+    for done in range(0, iterations, batch):
+        count = min(batch, iterations - done)
+        flat = bytearray()
+        for _ in range(count):
+            _shuffle(fields, getrandbits, steps)
+            flat += join(fields)
+        lane = bytearray(count * size)
+        lanes = []
+        for start in range(0, row, size):
+            for j in range(size):
+                lane[j::size] = flat[start + j :: row]
+            lanes.append(int.from_bytes(lane, "little"))
+        ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+        guards = guard * ones
+        for c, (w, k) in enumerate(zip(weights, bounds)):
+            total = sum(map(operator.mul, w, lanes))
+            high = total + (guard - cube - k) * ones
+            low = total + (guard - cube + k - 1) * ones
+            hits[c] += ((high | ~low) & guards).bit_count()
     return [(1 + h) / (1 + iterations) for h in hits]
 
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from charnet.errors import ConvergenceError
+
 
 def floyd_warshall(nodes, edges) -> dict[tuple[str, str], float]:
     """All-pairs hop distances by O(n^3) relaxation; math.inf when unreachable."""
@@ -174,6 +176,36 @@ def dense_dominant_eigen(edges) -> tuple[list[str], np.ndarray, float, float, np
     if vec.sum() < 0:
         vec = -vec
     return names, a, lam1, lam2, vec
+
+
+def power_iteration_eigen(edges, tol: float, max_iter: int) -> dict[str, float]:
+    """Shifted power iteration on exact walk counts that takes the full
+    max-norm delta at every step.  Start, shift, normalization and error
+    text are the library's, which skips the full check on steps that one
+    coordinate rules out, so results must be equal, not close."""
+    closed = {v: [v] for v in active_names(edges)}
+    for a, b in edges:
+        closed[a].append(b)
+        closed[b].append(a)
+    names = list(closed)
+    n = len(names)
+    y = dict.fromkeys(names, 1)
+    x = dict.fromkeys(names, 1.0 / math.sqrt(n))
+    delta = math.inf
+    for _ in range(max_iter):
+        y = {v: sum(y[u] for u in closed[v]) for v in names}
+        top = max(y.values()).bit_length()
+        if top > 120:
+            y = {v: c >> (top - 60) for v, c in y.items()}
+        norm = math.sqrt(sum(c * c for c in y.values()))
+        step = {v: c / norm for v, c in y.items()}
+        delta = max(abs(step[v] - x[v]) for v in names)
+        x = step
+        if delta < tol:
+            return x
+    raise ConvergenceError(
+        f"power iteration missed tol={tol:g} after {max_iter} iterations (last delta {delta:.3e})"
+    )
 
 
 def t_two_tailed_quadrature(t: float, df: int, steps: int = 4000) -> float:

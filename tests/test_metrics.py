@@ -45,6 +45,7 @@ from oracles import (
     brute_transitivity,
     dense_dominant_eigen,
     exact_efficiency,
+    power_iteration_eigen,
     random_edge_set,
 )
 
@@ -233,6 +234,22 @@ class TestHarmonic:
         assert global_efficiency(g) == float(pairs) / 30
 
 
+@st.composite
+def _shaped_edges(draw):
+    """Edges of a star, path, complete graph or random bipartite graph."""
+    kind = draw(st.sampled_from(["star", "path", "complete", "bipartite"]))
+    names = [f"N{i:02d}" for i in range(draw(st.integers(2, 16)))]
+    if kind == "star":
+        return [(names[0], v) for v in names[1:]]
+    if kind == "path":
+        return list(zip(names, names[1:]))
+    if kind == "complete":
+        return list(itertools.combinations(names, 2))
+    k = draw(st.integers(1, len(names) - 1))
+    cross = [(a, b) for a in names[:k] for b in names[k:]]
+    return draw(st.lists(st.sampled_from(cross), min_size=1, unique=True))
+
+
 class TestEigenvector:
     def test_k2(self):
         scores = eigenvector_vector(graph_from({("A", "B"): 4.0}))
@@ -286,6 +303,27 @@ class TestEigenvector:
             assert scores[v] == pytest.approx(dense_vec[i], abs=1e-13), v
         leaf = names.index(path[-1])
         assert scores[path[-1]] == pytest.approx(dense_vec[leaf], rel=1e-6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _shaped_edges(),
+        st.sampled_from([0.5, 1e-3, 1e-10, 1e-14]),
+        st.sampled_from([1, 2, 3, 10, 10000]),
+    )
+    @example([("A", "B"), ("B", "C")], 1e-10, 1)  # the cap reached on the first step
+    @example(list(itertools.combinations("ABCD", 2)), 0.5, 10000)  # a fixed point at once
+    def test_equals_full_delta_loop(self, edges, tol, max_iter):
+        # the watched coordinate only skips steps the full delta check
+        # would not stop at, so scores and error text match exactly
+        g = graph_from({pair: 1.0 for pair in edges})
+        try:
+            expected = power_iteration_eigen(edges, tol, max_iter)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as raised:
+                eigenvector_vector(g, tol, max_iter)
+            assert str(raised.value) == str(exc)
+        else:
+            assert eigenvector_vector(g, tol, max_iter) == expected
 
 
 class TestSummarize:

@@ -288,6 +288,29 @@ def _tied_column(n: int, top: int):
     return st.lists(st.integers(0, top), min_size=n, max_size=n)
 
 
+def _field_bytes(n: int) -> int:
+    return ((2 * n**3).bit_length() + 8) // 8
+
+
+def _batch(n: int) -> int:
+    """Shuffles per batch of the packed permutation loop."""
+    return max(1, stats._BATCH_BYTES // (n * _field_bytes(n)))
+
+
+def _boundary_columns(n: int):
+    """Seeded tied columns against binary reviews, plus rho = +1 and -1:
+    many shuffles meet the observed |dot| exactly."""
+    rng = random.Random(n)
+    reviews = [i % 2 for i in range(n)]
+    rng.shuffle(reviews)
+    columns = []
+    for values in ([rng.randint(0, 1) for _ in range(n)], [rng.randint(0, 3) for _ in range(n)], reviews):
+        for signed in (values, [-v for v in values]):
+            cx, cy = stats._paired(signed, reviews)
+            columns.append(cx)
+    return columns, cy
+
+
 class TestPackedPermutationLoop:
     """The integer loop against the float loop it replaced, bit for bit."""
 
@@ -347,10 +370,12 @@ class TestPackedPermutationLoop:
 
     @pytest.mark.parametrize("iterations", [1023, 1024, 2047, 4095, 4096])
     def test_hit_counts_stay_in_their_fields(self, iterations):
-        # At n = 4, bits(2n^3) = 8 but bits(iterations) is 10 to 13, so the
-        # iteration count sets the field width.  The middle column has dot 0,
-        # so every shuffle is a hit; a count spilling into a neighbouring
-        # field would change that neighbour's p-value.
+        # At n = 4 a field is 2 bytes whatever the iteration count, and a
+        # batch holds _batch(4) = 512 shuffles, so these counts end one
+        # short of a batch end or exactly on one.  The middle column has
+        # dot 0, so every shuffle is a hit; a hit landing in the wrong
+        # shuffle's field, or a shuffle lost or counted twice at a batch
+        # end, would change a p-value.
         reviews = [1, 2, 3, 4]
         columns = []
         for values in ([2, 1, 4, 3], [1, 2, 2, 1], [4, 1, 3, 2]):
@@ -360,6 +385,25 @@ class TestPackedPermutationLoop:
         packed = stats._permutation_pvalues(columns, cy, iterations, 5)
         assert packed == permutation_pvalues_float(columns, cy, iterations, 5)
         assert packed[1] == 1.0
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("n", [4, 25, 26])
+    def test_iterations_around_batch_ends(self, n, offset):
+        # the first whole number of batches past 1000, then one short and one past it
+        batch = _batch(n)
+        iterations = batch * -(-1001 // batch) + offset
+        columns, cy = _boundary_columns(n)
+        packed = stats._permutation_pvalues(columns, cy, iterations, 17)
+        assert packed == permutation_pvalues_float(columns, cy, iterations, 17)
+
+    @pytest.mark.parametrize("n", [25, 26, 161, 162, 203, 204])
+    def test_field_grows_a_byte(self, n):
+        # a field holds bits(2n^3) + 1 bits: 2 bytes up to n = 25, 3 up to
+        # n = 161, then 4; 203/204 is where bits(2n^3) alone would grow
+        assert _field_bytes(n) == (2 if n <= 25 else 3 if n <= 161 else 4)
+        columns, cy = _boundary_columns(n)
+        packed = stats._permutation_pvalues(columns, cy, 1000, n)
+        assert packed == permutation_pvalues_float(columns, cy, 1000, n)
 
     def test_integer_bound_edges(self):
         # For rho = +1 and -1 no shuffle exceeds |observed dot|: a hit needs
