@@ -21,9 +21,9 @@ the nodes at that distance.  Harmonic centrality reads a node's histogram;
 component-mean efficiency pools its members' histograms; neighborhood
 efficiency runs the same traversal masked to each neighborhood;
 connected_components needs no histogram and grows one part at a time.  A row
-indexes its episode once: compute_episode_metrics lends that index to the
-public functions it calls (_index), for that graph object only and until
-the row is done, so any other call indexes its graph afresh.
+indexes its episode once: the index also carries the graph's nodes and
+edges, so compute_episode_metrics passes it to each public function in
+place of the graph, and any function given a graph indexes it afresh.
 """
 
 from __future__ import annotations
@@ -118,9 +118,11 @@ class _Index:
     """An episode's active nodes in sorted order, each mapped to its bit
     position, and per position the neighbors as an int bitset (bit j set:
     edge to node j).  Every topology metric reads one; the all-sources hop
-    histogram is computed on first use."""
+    histogram is computed on first use.  It keeps the graph's nodes and
+    edges, so every metric function accepts it in place of the graph."""
 
     def __init__(self, graph) -> None:
+        self.nodes, self.edges = graph.nodes, graph.edges
         active = {v for pair in graph.edges for v in pair}
         self.position = {v: i for i, v in enumerate(sorted(active))}
         self.nbr = [0] * len(self.position)
@@ -135,14 +137,9 @@ class _Index:
         return _hop_counts(self.nbr, (1 << len(self.nbr)) - 1)
 
 
-# (graph, its _Index) while compute_episode_metrics fills that graph's row
-_lent: tuple[EpisodeGraph | None, _Index | None] = (None, None)
-
-
 def _index(graph) -> _Index:
-    """The index lent for this very graph object, else a fresh one."""
-    lent_graph, index = _lent  # read once: another thread's row may replace it
-    return index if lent_graph is graph else _Index(graph)
+    """graph itself if it is already an index, else a fresh index of it."""
+    return graph if type(graph) is _Index else _Index(graph)
 
 
 def _bits(mask: int) -> list[int]:
@@ -371,9 +368,9 @@ def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = 
     plus a warning; the row itself always comes back rectangular so
     downstream correlation never loses a column.
     """
-    global _lent
     config = config or MetricsConfig()
     row = EpisodeMetrics(key=graph.key, ordinal=graph.ordinal)
+    index = _Index(graph)
 
     def guarded(name: str, compute, fallback):
         try:
@@ -384,32 +381,28 @@ def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = 
             row.warnings.append(f"{name}: summary overflows a float")
         return fallback
 
-    _lent = (graph, _Index(graph))
-    try:
-        row.active_nodes = active_nodes(graph)
-        if row.active_nodes == 0:
-            row.warnings.append("DegenerateGraph: no active nodes, all metrics 0")
-            return row
-        row.density = guarded("density", lambda: density(graph), 0.0)
-        row.efficiency = guarded(
-            "efficiency", lambda: efficiency_metric(graph, config.efficiency_mode), 0.0
-        )
-        row.transitivity = transitivity(graph)
-        row.strength_max, row.strength_std = guarded(
-            "strength", lambda: summarize(node_strengths(graph)), (0.0, 0.0)
-        )
-        degree_max, row.degree_std = guarded(
-            "degree", lambda: summarize(degree_vector(graph)), (0.0, 0.0)
-        )
-        row.degree_max = int(degree_max)
-        row.harmonic_max, row.harmonic_std = guarded(
-            "harmonic", lambda: summarize(harmonic_vector(graph)), (0.0, 0.0)
-        )
-        row.eigen_max, row.eigen_std = guarded(
-            "eigenvector",
-            lambda: summarize(eigenvector_vector(graph, config.eigen_tol, config.eigen_max_iter)),
-            (0.0, 0.0),
-        )
+    row.active_nodes = active_nodes(index)
+    if row.active_nodes == 0:
+        row.warnings.append("DegenerateGraph: no active nodes, all metrics 0")
         return row
-    finally:
-        _lent = (None, None)
+    row.density = guarded("density", lambda: density(index), 0.0)
+    row.efficiency = guarded(
+        "efficiency", lambda: efficiency_metric(index, config.efficiency_mode), 0.0
+    )
+    row.transitivity = transitivity(index)
+    row.strength_max, row.strength_std = guarded(
+        "strength", lambda: summarize(node_strengths(index)), (0.0, 0.0)
+    )
+    degree_max, row.degree_std = guarded(
+        "degree", lambda: summarize(degree_vector(index)), (0.0, 0.0)
+    )
+    row.degree_max = int(degree_max)
+    row.harmonic_max, row.harmonic_std = guarded(
+        "harmonic", lambda: summarize(harmonic_vector(index)), (0.0, 0.0)
+    )
+    row.eigen_max, row.eigen_std = guarded(
+        "eigenvector",
+        lambda: summarize(eigenvector_vector(index, config.eigen_tol, config.eigen_max_iter)),
+        (0.0, 0.0),
+    )
+    return row

@@ -186,25 +186,24 @@ def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]
     dot for every shuffle, each in its own field.
 
     The hit test is packed too.  A field's top bit is a guard above 2n^3,
-    which no dot reaches.  A field is an integer, so |4*dot| >= limit_c
-    holds exactly when the field is at least hi_c = n^3 + k_c or at most
-    lo_c = n^3 - k_c, with k_c = ceil(limit_c).  Adding guard - hi_c to a
-    field sets its guard bit iff field >= hi_c, and adding guard - lo_c - 1
-    sets it iff field > lo_c; as k_c <= n^3, neither sum is negative or
-    carries out of its field.  So each shuffle leaves its hit in its own
-    field's guard bit, and a popcount per batch adds the column's hits.
+    which no dot reaches.  A shuffle hits when its |4*dot| is at least k_c,
+    the observed |4*dot| of column c, itself an exact integer; that holds
+    when the field is at least hi_c = n^3 + k_c or at most lo_c = n^3 - k_c.
+    Adding guard - hi_c to a field sets its guard bit iff field >= hi_c, and
+    adding guard - lo_c - 1 sets it iff field > lo_c; as k_c <= n^3, neither
+    sum is negative or carries out of its field.  So each shuffle leaves its
+    hit in its own field's guard bit, and a popcount per batch adds the
+    column's hits.
     """
     check_permutations(iterations)
-    observed = [abs(sum(a * b for a, b in zip(cx, cy))) for cx in columns]
-    # 4*dot is an integer and scaling a float by 4 is exact, so
-    # |dot| >= threshold is |4*dot| >= ceil(4*threshold) with no rounding.
-    bounds = [math.ceil(4 * (o - 1e-9 * max(1.0, o))) for o in observed]
     n = len(cy)
     cube = n**3
     size = ((2 * cube).bit_length() + 8) // 8
     guard = 1 << (8 * size - 1)
     weights = [[_doubled(a, n) for a in cx] for cx in columns]
-    fields = [_doubled(b, n).to_bytes(size, "little") for b in cy]
+    ys = [_doubled(b, n) for b in cy]
+    bounds = [abs(sum(map(operator.mul, w, ys)) - cube) for w in weights]
+    fields = [y.to_bytes(size, "little") for y in ys]
     getrandbits = random.Random(seed).getrandbits
     steps = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
     row = n * size

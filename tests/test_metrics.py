@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import networkx as nx
@@ -430,8 +431,32 @@ class TestComputeEpisodeMetrics:
 
 
 class TestSharedIndex:
-    """compute_episode_metrics lends one index to the public functions for
-    the row it fills, and to nothing else."""
+    """compute_episode_metrics builds one index per row and passes it to the
+    public functions it calls; the graph itself is never indexed again."""
+
+    @pytest.mark.parametrize("mode", EFFICIENCY_MODES)
+    def test_one_index_per_row(self, monkeypatch, mode):
+        built = []
+        init = metrics._Index.__init__
+
+        def counting(self, graph):
+            built.append(graph)
+            init(self, graph)
+
+        monkeypatch.setattr(metrics._Index, "__init__", counting)
+        for edges in (TRIANGLE, PATH4, STAR3, TWO_EDGES):
+            built.clear()
+            g = graph_from(edges)
+            row = compute_episode_metrics(g, MetricsConfig(efficiency_mode=mode))
+            assert row.warnings == []
+            assert built == [g], edges
+
+    def test_rows_from_threads_match_rows_in_turn(self):
+        rng = random.Random(19)
+        graphs = [graph_from(random_edge_set(rng, 2, 30)[1]) for _ in range(48)]
+        expected = [compute_episode_metrics(g) for g in graphs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(compute_episode_metrics, graphs)) == expected
 
     @pytest.mark.parametrize("mode", EFFICIENCY_MODES)
     def test_one_whole_graph_traversal_per_row(self, monkeypatch, mode):

@@ -1,0 +1,21 @@
+"""Checks on the library's source text."""
+
+from __future__ import annotations
+
+import ast
+
+from support import REPO_ROOT
+
+
+def test_no_module_state_is_rebound_from_functions():
+    # a `global` statement lets a call rebind module state, which makes
+    # calls depend on each other and unsafe to run from several threads
+    sources = sorted((REPO_ROOT / "src" / "charnet").glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

@@ -340,11 +340,12 @@ class TestPackedPermutationLoop:
         assert packed == permutation_pvalues_float(columns, cy, 1000, seed)
         assert packed[-2] == packed[-1]  # rho = +1 and -1 have the same |dot|
 
-    def test_threshold_cut_at_large_n(self, monkeypatch):
-        # At n = 1500, 1e-9 * |observed dot| exceeds 1/4, so a shuffle whose
-        # dot lies exactly 1/4 below the observed one still counts as a hit.
-        # A stand-in shuffle applies two swaps that move the dot by -1/4;
-        # applying them again restores y, so the dots alternate o - 1/4, o.
+    def test_threshold_is_exact_at_large_n(self, monkeypatch):
+        # At n = 1500 the observed |dot| exceeds 2.5e8, where a relative
+        # tolerance of 1e-9 would pass 1/4 and count a shuffle whose dot lies
+        # exactly 1/4 below the observed one.  A stand-in shuffle applies two
+        # swaps that move the dot by -1/4; applying them again restores y, so
+        # the dots alternate o - 1/4, o and exactly every second one hits.
         x = [3, 0, 3, 1, 4, 5] + list(range(10, 1504))
         y = [0, 5, 1, 0, 3, 5] + list(range(10, 1504))
         cx, cy = stats._paired(x, y)
@@ -366,7 +367,7 @@ class TestPackedPermutationLoop:
         monkeypatch.setattr(random, "Random", TwoSwaps)
         monkeypatch.setattr(stats, "_shuffle", lambda ys, getrandbits, steps: swap(ys))
         packed = stats._permutation_pvalues([cx], cy, 1000, 0)
-        assert packed == permutation_pvalues_float([cx], cy, 1000, 0) == [1.0]
+        assert packed == permutation_pvalues_float([cx], cy, 1000, 0) == [501 / 1001]
 
     @pytest.mark.parametrize("iterations", [1023, 1024, 2047, 4095, 4096])
     def test_hit_counts_stay_in_their_fields(self, iterations):
