@@ -10,7 +10,6 @@ compared by magnitude; see the README's reproduction notes).
 
 from __future__ import annotations
 
-import argparse
 import csv
 from pathlib import Path
 
@@ -21,6 +20,7 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "reference"
 SERIES = ("got", "hoc", "bb")
 COLUMNS = tuple(column.attr for column in METRICS[1:])  # active_nodes is not tabulated
 SIGN_FLIPPED = {("hoc", "harmonic_std")}
+RHO_TOLERANCE = 0.03  # allowed |computed - reference| for rho
 
 
 def load_series(series: str) -> tuple[list[EpisodeMetrics], dict[EpisodeKey, float]]:
@@ -57,15 +57,6 @@ def load_reference() -> dict[tuple[str, str], tuple[float, float, str]]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--rho-tolerance",
-        type=float,
-        default=0.03,
-        help="allowed |computed - reference| for rho (default 0.03)",
-    )
-    args = parser.parse_args()
-
     reference = load_reference()
     failures = 0
     for series in SERIES:
@@ -82,7 +73,7 @@ def main() -> int:
             if (series, attr) in SIGN_FLIPPED:
                 delta = abs(result.rho + rho_ref)
                 note = "  (sign differs in reference)"
-            if delta > args.rho_tolerance:
+            if delta > RHO_TOLERANCE:
                 failures += 1
                 note = "  <-- rho off"
             print(

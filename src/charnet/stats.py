@@ -2,7 +2,9 @@
 
 rho is the Pearson correlation of average ranks, which stays correct under
 ties; the classic 6*sum(d^2) shortcut is deliberately not used (it is only
-valid tie-free, and review scores repeat).  Two-tailed p-values come from
+valid tie-free, and review scores repeat).  rho and the permutation test
+read the same exact int ranks, each twice a centered rank; only
+rank_with_ties returns float ranks.  Two-tailed p-values come from
 the Student-t approximation with n-2 degrees of freedom, whose tail at an
 integer df is an exact finite sum.  A seeded permutation test provides an
 independent cross-check of that approximation.
@@ -70,51 +72,53 @@ def significance_stars(p: float) -> str:
     return ""
 
 
-def _check_finite(values, what: str) -> list[float]:
-    out = [float(v) for v in values]
-    if any(not math.isfinite(v) for v in out):
-        raise NonFiniteError(f"{what} contains a non-finite value")
-    return out
-
-
-def rank_with_ties(values) -> list[float]:
-    """Ascending 1-based ranks; tied values share the mean of their positions."""
-    data = _check_finite(values, "rank input")
+def _doubled_ranks(values) -> list[int]:
+    """Twice each ascending 1-based average rank, as an exact int."""
+    try:
+        data = [float(v) for v in values]
+    except OverflowError as exc:
+        raise NonFiniteError("rank input contains a value past the float range") from exc
+    if any(not math.isfinite(v) for v in data):
+        raise NonFiniteError("rank input contains a non-finite value")
     if not data:
         raise DegenerateInputError("cannot rank an empty list")
     n = len(data)
     order = sorted(range(n), key=lambda i: data[i])
-    ranks = [0.0] * n
+    ranks = [0] * n
     i = 0
     while i < n:
         j = i
         while j + 1 < n and data[order[j + 1]] == data[order[i]]:
             j += 1
-        average = (i + j + 2) / 2.0  # mean of 1-based positions i..j
         for k in range(i, j + 1):
-            ranks[order[k]] = average
+            ranks[order[k]] = i + j + 2  # twice the mean of 1-based positions i..j
         i = j + 1
     return ranks
 
 
-def _paired(x, y) -> tuple[list[float], list[float]]:
-    """Check a pair of columns and return both centered rank vectors."""
+def rank_with_ties(values) -> list[float]:
+    """Ascending 1-based ranks; tied values share the mean of their positions."""
+    return [r / 2 for r in _doubled_ranks(values)]
+
+
+def _paired(x, y) -> tuple[list[int], list[int]]:
+    """Check a pair of columns and return both doubled centered rank vectors:
+    each doubled rank minus n + 1, twice the mean rank, as exact ints."""
     if len(x) != len(y):
         raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise DegenerateInputError(f"need at least 3 pairs, got {len(x)}")
+    doubled_mean = len(x) + 1
     centered = []
     for values, what in ((x, "x"), (y, "y")):
-        ranks = rank_with_ties(values)
-        mean = sum(ranks) / len(ranks)
-        centered.append([r - mean for r in ranks])
-        if all(c == 0.0 for c in centered[-1]):
+        centered.append([r - doubled_mean for r in _doubled_ranks(values)])
+        if not any(centered[-1]):
             raise DegenerateInputError(f"{what} is constant")
     return centered[0], centered[1]
 
 
-def _rho(cx: list[float], cy: list[float]) -> float:
-    dot = sum(a * b for a, b in zip(cx, cy))
+def _rho(cx: list[int], cy: list[int]) -> float:
+    dot = sum(map(operator.mul, cx, cy))
     rho = dot / math.sqrt(sum(a * a for a in cx) * sum(b * b for b in cy))
     return max(-1.0, min(1.0, rho))
 
@@ -166,16 +170,16 @@ def check_permutations(iterations: int) -> None:
 
 
 def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]:
-    """Seeded permutation p-values of every centered column against cy.
+    """Seeded permutation p-values of every doubled centered column against cy.
 
     One shuffle stream of cy serves all columns, so each value equals the
     one a lone column gets from the same seed.  Permuting y permutes its
     rank vector, so only rank dot products are recomputed per shuffle.
     Add-one smoothing on both sides keeps the estimates away from 0.
 
-    The dots run in exact integers.  Centered ranks are half-integers, so
-    2c + n is a non-negative integer, and as each column sums to 0,
-    sum (2a + n)(2b + n) = 4*dot + n^3, which lies in [0, 2n^3].  Each
+    The dots run in exact integers.  Each c lies in [1 - n, n - 1], so
+    c + n is a non-negative int, and as each column sums to 0,
+    sum (a + n)(b + n) = dot + n^3, which lies in [0, 2n^3].  Each
     value of y is a little-endian field of `size` bytes, enough for
     bits(2n^3) + 1 bits whatever the iteration count, and the fields
     themselves are shuffled: the draws do not depend on the values.  Each
@@ -186,9 +190,9 @@ def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]
     dot for every shuffle, each in its own field.
 
     The hit test is packed too.  A field's top bit is a guard above 2n^3,
-    which no dot reaches.  A shuffle hits when its |4*dot| is at least k_c,
-    the observed |4*dot| of column c, itself an exact integer; that holds
-    when the field is at least hi_c = n^3 + k_c or at most lo_c = n^3 - k_c.
+    which no field reaches.  A shuffle hits when its |dot| is at least k_c,
+    the observed |dot| of column c; that holds when the field is at least
+    hi_c = n^3 + k_c or at most lo_c = n^3 - k_c.
     Adding guard - hi_c to a field sets its guard bit iff field >= hi_c, and
     adding guard - lo_c - 1 sets it iff field > lo_c; as k_c <= n^3, neither
     sum is negative or carries out of its field.  So each shuffle leaves its
@@ -200,9 +204,9 @@ def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]
     cube = n**3
     size = ((2 * cube).bit_length() + 8) // 8
     guard = 1 << (8 * size - 1)
-    weights = [[_doubled(a, n) for a in cx] for cx in columns]
-    ys = [_doubled(b, n) for b in cy]
-    bounds = [abs(sum(map(operator.mul, w, ys)) - cube) for w in weights]
+    weights = [[a + n for a in cx] for cx in columns]
+    ys = [b + n for b in cy]
+    bounds = [abs(sum(map(operator.mul, cx, cy))) for cx in columns]
     fields = [y.to_bytes(size, "little") for y in ys]
     getrandbits = random.Random(seed).getrandbits
     steps = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
@@ -245,13 +249,6 @@ def _shuffle(ys: list, getrandbits, steps) -> None:
         ys[i], ys[j] = ys[j], ys[i]
 
 
-def _doubled(centered: float, n: int) -> int:
-    """2*centered + n as an int; centered ranks are exact half-integers."""
-    doubled = int(2 * centered)
-    assert doubled == 2 * centered, f"centered rank {centered!r} is no half-integer"
-    return doubled + n
-
-
 def permutation_pvalue(x, y, iterations: int, rng_seed: int) -> float:
     """Share of seeded permutations of y at least as extreme as observed."""
     check_permutations(iterations)  # reported ahead of any input error
@@ -285,7 +282,7 @@ def correlate_all(
     reviews = [review for _, review in usable]
     report = CorrelationReport(n=n, excluded=len(paired) - n)
     tested: list[CorrelationResult] = []
-    columns: list[list[float]] = []
+    columns: list[list[int]] = []
     for column in METRICS:
         values = [float(getattr(row, column.attr)) for row, _ in usable]
         try:

@@ -267,10 +267,44 @@ def exhaustive_permutation_pvalue(x, y) -> float:
     return hits / count
 
 
+def _float_average_ranks(values) -> list[float]:
+    data = [float(v) for v in values]
+    n = len(data)
+    order = sorted(range(n), key=lambda i: data[i])
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and data[order[j + 1]] == data[order[i]]:
+            j += 1
+        average = (i + j + 2) / 2.0  # mean of 1-based positions i..j
+        for k in range(i, j + 1):
+            ranks[order[k]] = average
+        i = j + 1
+    return ranks
+
+
+def spearman_rho_float(x, y) -> float:
+    """Spearman's rho through float ranks: float average ranks, centered on
+    their float mean, and a float dot product over float norms.  This is the
+    library's earlier float rank path, kept to hold its exact int form to the
+    same bits."""
+    centered = []
+    for values in (x, y):
+        ranks = _float_average_ranks(values)
+        mean = sum(ranks) / len(ranks)
+        centered.append([r - mean for r in ranks])
+    cx, cy = centered
+    dot = sum(a * b for a, b in zip(cx, cy))
+    rho = dot / math.sqrt(sum(a * a for a in cx) * sum(b * b for b in cy))
+    return max(-1.0, min(1.0, rho))
+
+
 def permutation_pvalues_float(columns, cy, iterations: int, seed: int) -> list[float]:
-    """Seeded permutation p-values with one float rank dot product per column
-    per shuffle: the direct form of the library's packed-integer loop, with
-    the same shuffle stream, threshold and add-one smoothing."""
+    """Seeded permutation p-values with one plain rank dot product per column
+    per shuffle after `Random.shuffle`: the direct form of the library's
+    packed-integer loop, with the same shuffle stream, threshold and add-one
+    smoothing."""
     thresholds = [abs(sum(a * b for a, b in zip(cx, cy))) for cx in columns]
     rng = random.Random(seed)
     shuffled = list(cy)

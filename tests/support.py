@@ -21,7 +21,9 @@ sys.path.insert(0, str(REPO_ROOT / "scripts"))
 from reproduce_correlations import (  # noqa: E402
     COLUMNS as REFERENCE_COLUMNS,
     DATA_DIR,
+    RHO_TOLERANCE,
     SERIES,
+    SIGN_FLIPPED,
     load_reference as load_reference_correlations,
     load_series as load_reference_metrics,
 )

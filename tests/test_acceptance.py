@@ -48,7 +48,9 @@ from support import (
     DATA_DIR,
     REPO_ROOT,
     REFERENCE_COLUMNS,
+    RHO_TOLERANCE,
     SERIES,
+    SIGN_FLIPPED,
     build_demo_dataset,
     load_reference_correlations,
     load_reference_metrics,
@@ -90,7 +92,6 @@ def test_criterion_1_pvalue_anchors():
 #   hoc/degree_max     p sits on the 0.01 star boundary; 3-decimal inputs land
 #                      a hair above it
 #   hoc/eigen_std      same boundary effect, slightly larger rounding wobble
-SIGN_FLIPPED = {("hoc", "harmonic_std")}
 STAR_EXCEPTIONS = {
     ("hoc", "efficiency"): dict(p_tol=0.004),
     ("hoc", "degree_max"): dict(p_tol=0.002),
@@ -115,9 +116,9 @@ def test_criterion_2_reference_correlation_tables():
             result = by_label[METRIC_BY_ATTR[attr].label]
             assert result.rho is not None, (series, attr)
             if (series, attr) in SIGN_FLIPPED:
-                assert abs(result.rho + rho_ref) <= 0.03, (series, attr, result.rho)
+                assert abs(result.rho + rho_ref) <= RHO_TOLERANCE, (series, attr, result.rho)
                 continue
-            assert abs(result.rho - rho_ref) <= 0.03, (series, attr, result.rho)
+            assert abs(result.rho - rho_ref) <= RHO_TOLERANCE, (series, attr, result.rho)
             exception = STAR_EXCEPTIONS.get((series, attr))
             if exception is None:
                 assert result.significance == stars_ref, (series, attr, result.p_value)

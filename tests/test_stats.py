@@ -32,6 +32,7 @@ from charnet.stats import (
 from oracles import (
     exhaustive_permutation_pvalue,
     permutation_pvalues_float,
+    spearman_rho_float,
     spearman_shortcut,
     t_two_tailed_quadrature,
 )
@@ -74,6 +75,12 @@ class TestRankWithTies:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInputError):
             rank_with_ties([])
+
+    def test_int_past_float_range_rejected(self):
+        with pytest.raises(NonFiniteError, match="past the float range"):
+            rank_with_ties([10**400, 1, 2])
+        with pytest.raises(NonFiniteError, match="past the float range"):
+            spearman_rho([10**400, 1, 2, 3], [1, 2, 3, 4])
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
@@ -166,6 +173,27 @@ class TestSpearmanRho:
     def test_tie_free_shortcut_agreement(self, x, y_pool):
         y = y_pool[: len(x)]
         assert spearman_rho(x, y) == pytest.approx(spearman_shortcut(x, y), abs=1e-12)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.tuples(
+            st.integers(3, 400),
+            st.sampled_from(
+                [st.integers(0, 2), st.integers(0, 9), st.integers(-(10**6), 10**6).map(lambda v: v / 1000)]
+            ),
+        ).flatmap(
+            lambda shape: st.tuples(
+                st.lists(shape[1], min_size=shape[0], max_size=shape[0]),
+                st.lists(shape[1], min_size=shape[0], max_size=shape[0]),
+            )
+        )
+    )
+    def test_same_bits_as_float_ranks(self, columns):
+        # tied int columns and 3-decimal columns: the int rank form rounds
+        # to the same float as float centered ranks did
+        x, y = columns
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        assert spearman_rho(x, y).hex() == spearman_rho_float(x, y).hex()
 
 
 class TestSpearmanPvalue:
@@ -341,11 +369,12 @@ class TestPackedPermutationLoop:
         assert packed[-2] == packed[-1]  # rho = +1 and -1 have the same |dot|
 
     def test_threshold_is_exact_at_large_n(self, monkeypatch):
-        # At n = 1500 the observed |dot| exceeds 2.5e8, where a relative
-        # tolerance of 1e-9 would pass 1/4 and count a shuffle whose dot lies
-        # exactly 1/4 below the observed one.  A stand-in shuffle applies two
-        # swaps that move the dot by -1/4; applying them again restores y, so
-        # the dots alternate o - 1/4, o and exactly every second one hits.
+        # At n = 1500 the observed |dot| of doubled ranks exceeds 1e9, where
+        # a relative tolerance of 1e-9 would pass 1 and count a shuffle whose
+        # dot lies exactly 1 below the observed one.  A stand-in shuffle
+        # applies two swaps that move the dot by -1; applying them again
+        # restores y, so the dots alternate o - 1, o and exactly every second
+        # one hits.
         x = [3, 0, 3, 1, 4, 5] + list(range(10, 1504))
         y = [0, 5, 1, 0, 3, 5] + list(range(10, 1504))
         cx, cy = stats._paired(x, y)
@@ -357,8 +386,8 @@ class TestPackedPermutationLoop:
         observed = abs(sum(a * b for a, b in zip(cx, cy)))
         near = list(cy)
         swap(near)
-        assert abs(sum(a * b for a, b in zip(cx, near))) == observed - 0.25
-        assert 1e-9 * observed > 0.25
+        assert abs(sum(a * b for a, b in zip(cx, near))) == observed - 1
+        assert 1e-9 * observed > 1
 
         class TwoSwaps(random.Random):  # the float oracle shuffles through Random
             def shuffle(self, v):
@@ -409,15 +438,15 @@ class TestPackedPermutationLoop:
     def test_integer_bound_edges(self):
         # For rho = +1 and -1 no shuffle exceeds |observed dot|: a hit needs
         # the field to equal hi_c (or lo_c) exactly.  The last two columns
-        # have |4*dot| = 25, and shuffles reach 24 on either side: one below
-        # ceil(limit) = 25, so they must not count.
+        # have |dot| = 25, and shuffles reach 24 on either side: one below
+        # the observed 25, so they must not count.
         reviews = [0, 0, 0, 0, 1, 2]
         near = [0, 0, 0, 1, 0, 2]
         columns = []
         for values in (reviews, [-r for r in reviews], near, [-v for v in near]):
             cx, cy = stats._paired(values, reviews)
             columns.append(cx)
-        assert sum(a * b for a, b in zip(columns[2], cy)) == 6.25
+        assert sum(a * b for a, b in zip(columns[2], cy)) == 25
         packed = stats._permutation_pvalues(columns, cy, 5000, 11)
         assert packed == permutation_pvalues_float(columns, cy, 5000, 11)
         assert packed[0] == packed[1] > 1 / 5001  # some shuffles did hit
