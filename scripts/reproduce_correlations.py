@@ -15,6 +15,7 @@ from pathlib import Path
 
 from charnet import EpisodeKey, EpisodeMetrics, correlate_all
 from charnet.metrics import METRIC_BY_ATTR, METRICS
+from charnet.stats import significance_stars
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "reference"
 SERIES = ("got", "hoc", "bb")
@@ -38,7 +39,7 @@ def load_series(series: str) -> tuple[list[EpisodeMetrics], dict[EpisodeKey, flo
             if key in ratings:
                 continue
             values = {attr: parse[attr](record[attr]) for attr in COLUMNS}
-            rows.append(EpisodeMetrics(key=key, ordinal=episode, **values))
+            rows.append(EpisodeMetrics(key=key, **values))
             ratings[key] = float(record["review"])
     return rows, ratings
 
@@ -76,8 +77,9 @@ def main() -> int:
             if delta > RHO_TOLERANCE:
                 failures += 1
                 note = "  <-- rho off"
+            stars = significance_stars(result.p_value)
             print(
-                f"{attr:<14} {result.rho:>8.3f} {result.p_value:>8.3f} {result.significance:<5}"
+                f"{attr:<14} {result.rho:>8.3f} {result.p_value:>8.3f} {stars:<5}"
                 f" | {rho_ref:>8.3f} {p_ref:>8.3f} {stars_ref:<5}{note}"
             )
     print()

@@ -3,11 +3,12 @@
 Two graph shapes share one edge representation: a SegmentGraph covers a
 ten-scene window of an episode, and an EpisodeGraph is the weight-summed
 union of all segments of that episode.  An EpisodeGraph is also the one
-record of what loading found for its episode: its ordinal, its manifest
-warnings and its dropped duplicate files.  Edges live under canonically
-ordered (sorted) name pairs so undirected lookups and serialization are
-orientation-insensitive.  This module only builds graphs; metrics answers
-every question about their shape, components included, on one index.
+record of what loading found for its episode: its segment count, its
+manifest warnings and its dropped duplicate files.  Edges live under
+canonically ordered (sorted) name pairs so undirected lookups and
+serialization are orientation-insensitive.  This module only builds graphs;
+metrics answers every question about their shape, components included, on
+one index.
 """
 
 from __future__ import annotations
@@ -91,14 +92,12 @@ class SegmentGraph(_Record):
 class EpisodeGraph(_Record):
     """Weighted union of an episode's segment graphs, with its load facts.
 
-    ordinal is the 1-based position of the episode within its series (the
-    metric-table row number); 0 until a loader assigns it.  warnings are
-    the episode's manifest warnings in manifest order, and
+    warnings are the episode's manifest warnings in manifest order, and
     duplicates_dropped counts the later files with the same key that the
     loader skipped.
     """
 
-    __slots__ = ("key", "nodes", "edges", "segment_count", "ordinal", "warnings", "duplicates_dropped")
+    __slots__ = ("key", "nodes", "edges", "segment_count", "warnings", "duplicates_dropped")
 
     def __init__(
         self,
@@ -106,7 +105,6 @@ class EpisodeGraph(_Record):
         nodes: set[CharacterId] | None = None,
         edges: dict[Pair, float] | None = None,
         segment_count: int = 0,
-        ordinal: int = 0,
         warnings: list[str] | None = None,
         duplicates_dropped: int = 0,
     ) -> None:
@@ -114,7 +112,6 @@ class EpisodeGraph(_Record):
         self.nodes = set() if nodes is None else nodes
         self.edges = {} if edges is None else edges
         self.segment_count = segment_count
-        self.ordinal = ordinal
         self.warnings = [] if warnings is None else warnings
         self.duplicates_dropped = duplicates_dropped
 

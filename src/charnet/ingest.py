@@ -127,6 +127,18 @@ def _character(names: dict[str, str], raw: str, where: str) -> str:
     return name
 
 
+def _episode_key(doc) -> EpisodeKey:
+    """An episode document's key, checked as report names and lines need."""
+    series = _text(_require(doc, "series", "episode file"), "series", "episode file").strip()
+    if not series:
+        raise FormatError("episode file: series must be a non-empty string")
+    _file_safe(series, "episode file")
+    _line_safe(series, "series")
+    season = _positive_int(_require(doc, "season", "episode file"), "season", "episode file")
+    episode = _positive_int(_require(doc, "episode", "episode file"), "episode", "episode file")
+    return EpisodeKey(series=series, season=season, episode=episode)
+
+
 def parse_segment_file(data: bytes | str) -> ParsedEpisode:
     """Parse one episode file into its segment graphs.
 
@@ -149,14 +161,7 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
     except RecursionError as exc:
         raise FormatError("JSON nested too deeply") from exc
 
-    series = _text(_require(doc, "series", "episode file"), "series", "episode file").strip()
-    if not series:
-        raise FormatError("episode file: series must be a non-empty string")
-    _file_safe(series, "episode file")
-    _line_safe(series, "series")
-    season = _positive_int(_require(doc, "season", "episode file"), "season", "episode file")
-    episode = _positive_int(_require(doc, "episode", "episode file"), "episode", "episode file")
-    key = EpisodeKey(series=series, season=season, episode=episode)
+    key = _episode_key(doc)
 
     segments_json = _require(doc, "segments", "episode file")
     if not isinstance(segments_json, list):
@@ -226,8 +231,14 @@ def serialize_episode(key: EpisodeKey, segments: list[SegmentGraph]) -> str:
     """Render an episode back to the canonical JSON file form.
 
     Node and edge lists are emitted sorted, so output is unique for a
-    given episode and re-parsing reproduces the same graphs exactly.
+    given episode and re-parsing reproduces the same graphs exactly.  A key
+    or name that parse_segment_file would refuse raises the parser's own
+    FormatError here, so no file is written that cannot be read back.
     """
+    _episode_key(key._asdict())
+    for position, seg in enumerate(segments):
+        for name in sorted(seg.nodes.union(*seg.edges)):
+            _line_safe(name, "character name", f"segment {position}")
     payload = {
         "series": key.series,
         "season": key.season,
@@ -313,8 +324,7 @@ def load_dataset(
     """Parse and aggregate a whole dataset.
 
     Returns (episodes, ratings, dataset warnings).  Episodes are sorted by
-    key, with 1-based ordinals assigned per series in (season, episode)
-    order, and each carries its own manifest warnings: parse warnings, one
+    key, and each carries its own manifest warnings: parse warnings, one
     per dropped duplicate file, isolated nodes, then a missing rating.
     Duplicate episode keys keep their first file.  The dataset warnings
     name ratings that have no episode, in key order.
@@ -345,10 +355,7 @@ def load_dataset(
     ratings = parse_ratings_csv(Path(ratings_file).read_bytes())
 
     episodes = [kept[key] for key in sorted(kept)]
-    per_series_counter: dict[str, int] = {}
     for graph in episodes:
-        series = graph.key.series
-        per_series_counter[series] = graph.ordinal = per_series_counter.get(series, 0) + 1
         linked = {v for pair in graph.edges for v in pair}
         isolated = sorted(graph.nodes - linked)
         if isolated:

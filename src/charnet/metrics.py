@@ -35,11 +35,11 @@ from functools import cached_property
 from itertools import zip_longest
 
 from .errors import (
-    CharnetError,
     ConvergenceError,
     DegenerateGraphError,
     EmptyVectorError,
     NoEdgesError,
+    SelfLoopError,
 )
 from .graph import CharacterId, EpisodeGraph, EpisodeKey, _Record
 
@@ -77,11 +77,10 @@ class EpisodeMetrics(_Record):
     """The 12-column metric row for one episode: one attribute per METRICS
     column, 0 until computed (an int in integer columns), then warnings."""
 
-    __slots__ = ("key", "ordinal", *(column.attr for column in METRICS), "warnings")
+    __slots__ = ("key", *(column.attr for column in METRICS), "warnings")
 
-    def __init__(self, key: EpisodeKey, ordinal: int = 0, *, warnings: list[str] | None = None, **cells) -> None:
+    def __init__(self, key: EpisodeKey, *, warnings: list[str] | None = None, **cells) -> None:
         self.key = key
-        self.ordinal = ordinal
         for column in METRICS:
             setattr(self, column.attr, cells.pop(column.attr, 0 if column.integer else 0.0))
         if cells:
@@ -108,7 +107,7 @@ def density(graph) -> float:
 def node_strengths(graph) -> dict[CharacterId, float]:
     """Total conversation seconds per active node (sum of incident weights)."""
     incident: dict[CharacterId, list[float]] = {}
-    for pair, weight in graph.edges.items():
+    for pair, weight in _index(graph).edges.items():
         for v in pair:
             incident.setdefault(v, []).append(weight)
     return {v: math.fsum(weights) for v, weights in incident.items()}
@@ -119,7 +118,8 @@ class _Index:
     position, and per position the neighbors as an int bitset (bit j set:
     edge to node j).  Every topology metric reads one; the all-sources hop
     histogram is computed on first use.  It keeps the graph's nodes and
-    edges, so every metric function accepts it in place of the graph."""
+    edges, so every metric function accepts it in place of the graph.  A
+    pair of one node, which only a hand-built graph can hold, is refused."""
 
     def __init__(self, graph) -> None:
         self.nodes, self.edges = graph.nodes, graph.edges
@@ -127,6 +127,8 @@ class _Index:
         self.position = {v: i for i, v in enumerate(sorted(active))}
         self.nbr = [0] * len(self.position)
         for a, b in graph.edges:
+            if a == b:
+                raise SelfLoopError(f"self-loop on {a!r}")
             i, j = self.position[a], self.position[b]
             self.nbr[i] |= 1 << j
             self.nbr[j] |= 1 << i
@@ -229,10 +231,11 @@ def _efficiency(n: int, histograms) -> float:
 
 def global_efficiency(graph) -> float:
     """Efficiency of the whole graph as given; unreachable pairs contribute 0."""
-    n = len(graph.nodes)
+    index = _index(graph)
+    n = len(index.nodes)
     if n < 2:
         return 0.0
-    return _efficiency(n, _index(graph).hops[1])
+    return _efficiency(n, index.hops[1])
 
 
 def efficiency_metric(graph, mode: str = "component-mean") -> float:
@@ -364,45 +367,34 @@ def summarize(scores: dict[CharacterId, float]) -> tuple[float, float]:
 def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = None) -> EpisodeMetrics:
     """Fill all 12 metric columns for one episode.
 
-    A degenerate metric, or a summary that overflows a float, becomes 0
-    plus a warning; the row itself always comes back rectangular so
-    downstream correlation never loses a column.
+    An episode with no active node gets 0 in every column and a warning.
+    Otherwise it has an edge between two distinct nodes (the index refuses
+    a self-loop), so every column is defined; only a strength summary past
+    the float range and an eigen iteration short of its tolerance can fail,
+    and each becomes 0 plus a warning.  The row always comes back
+    rectangular, so correlation never loses a column.
     """
     config = config or MetricsConfig()
-    row = EpisodeMetrics(key=graph.key, ordinal=graph.ordinal)
+    row = EpisodeMetrics(key=graph.key)
     index = _Index(graph)
-
-    def guarded(name: str, compute, fallback):
-        try:
-            return compute()
-        except CharnetError as exc:
-            row.warnings.append(f"{name}: {exc}")
-        except OverflowError:  # strengths of weights near the float limit
-            row.warnings.append(f"{name}: summary overflows a float")
-        return fallback
-
     row.active_nodes = active_nodes(index)
     if row.active_nodes == 0:
         row.warnings.append("DegenerateGraph: no active nodes, all metrics 0")
         return row
-    row.density = guarded("density", lambda: density(index), 0.0)
-    row.efficiency = guarded(
-        "efficiency", lambda: efficiency_metric(index, config.efficiency_mode), 0.0
-    )
+    row.density = density(index)
+    row.efficiency = efficiency_metric(index, config.efficiency_mode)
     row.transitivity = transitivity(index)
-    row.strength_max, row.strength_std = guarded(
-        "strength", lambda: summarize(node_strengths(index)), (0.0, 0.0)
-    )
-    degree_max, row.degree_std = guarded(
-        "degree", lambda: summarize(degree_vector(index)), (0.0, 0.0)
-    )
+    try:
+        row.strength_max, row.strength_std = summarize(node_strengths(index))
+    except OverflowError:  # strengths of weights near the float limit
+        row.warnings.append("strength: summary overflows a float")
+    degree_max, row.degree_std = summarize(degree_vector(index))
     row.degree_max = int(degree_max)
-    row.harmonic_max, row.harmonic_std = guarded(
-        "harmonic", lambda: summarize(harmonic_vector(index)), (0.0, 0.0)
-    )
-    row.eigen_max, row.eigen_std = guarded(
-        "eigenvector",
-        lambda: summarize(eigenvector_vector(index, config.eigen_tol, config.eigen_max_iter)),
-        (0.0, 0.0),
-    )
+    row.harmonic_max, row.harmonic_std = summarize(harmonic_vector(index))
+    try:
+        row.eigen_max, row.eigen_std = summarize(
+            eigenvector_vector(index, config.eigen_tol, config.eigen_max_iter)
+        )
+    except ConvergenceError as exc:
+        row.warnings.append(f"eigenvector: {exc}")
     return row

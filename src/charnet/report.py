@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .graph import EpisodeGraph, EpisodeKey
 from .metrics import METRICS, EpisodeMetrics
-from .stats import CorrelationReport
+from .stats import CorrelationReport, significance_stars
 
 # metric files put Active_Nodes last; correlation tables keep it first
 CSV_METRIC_ORDER = METRICS[1:] + (METRICS[0],)
@@ -35,9 +35,9 @@ def _cell(row: EpisodeMetrics, column) -> str:
 
 def _metric_rows(rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float]) -> list[list[str]]:
     rendered = []
-    for row in sorted(rows, key=lambda r: r.key):
+    for number, row in enumerate(sorted(rows, key=lambda r: r.key), 1):
         review = ratings.get(row.key)
-        cells = [str(row.ordinal), "" if review is None else fmt_real(review)]
+        cells = [str(number), "" if review is None else fmt_real(review)]
         cells.extend(_cell(row, column) for column in CSV_METRIC_ORDER)
         rendered.append(cells)
     return rendered
@@ -76,7 +76,7 @@ def _correlation_cells(report: CorrelationReport) -> list[list[str]]:
     return [
         [r.metric_name, "", "", ""]
         if r.rho is None or r.p_value is None
-        else [r.metric_name, fmt_real(r.rho), fmt_real(r.p_value), r.significance]
+        else [r.metric_name, fmt_real(r.rho), fmt_real(r.p_value), significance_stars(r.p_value)]
         for r in report.results
     ]
 

@@ -31,24 +31,22 @@ class CorrelationResult(_Record):
     """One metric column against the review column.
 
     rho and p_value are None when the column was degenerate (constant);
-    note says why.  significance: '**' p < 0.01, '*' p < 0.05, else ''.
+    note says why.  A result's stars are significance_stars(p_value).
     """
 
-    __slots__ = ("metric_name", "rho", "p_value", "significance", "note", "permutation_p")
+    __slots__ = ("metric_name", "rho", "p_value", "note", "permutation_p")
 
     def __init__(
         self,
         metric_name: str,
         rho: float | None,
         p_value: float | None,
-        significance: str = "",
         note: str = "",
         permutation_p: float | None = None,
     ) -> None:
         self.metric_name = metric_name
         self.rho = rho
         self.p_value = p_value
-        self.significance = significance
         self.note = note
         self.permutation_p = permutation_p
 
@@ -65,6 +63,7 @@ class CorrelationReport(_Record):
 
 
 def significance_stars(p: float) -> str:
+    """The Stars cell of a p-value, by strict thresholds: '**' below 0.01, '*' below 0.05."""
     if p < 0.01:
         return "**"
     if p < 0.05:
@@ -292,7 +291,7 @@ def correlate_all(
             continue
         rho = _rho(cx, cy)
         p = spearman_pvalue(rho, n)
-        tested.append(CorrelationResult(column.label, rho, p, significance_stars(p)))
+        tested.append(CorrelationResult(column.label, rho, p))
         report.results.append(tested[-1])
         columns.append(cx)
     if permutations is not None and tested:  # cy is the same for every column

@@ -27,6 +27,7 @@ from charnet.metrics import (
     harmonic_vector,
     transitivity,
 )
+from charnet.report import render_correlations_csv
 from charnet.stats import (
     correlate_all,
     permutation_pvalue,
@@ -111,6 +112,9 @@ def test_criterion_2_reference_correlation_tables():
         report = correlate_all(rows, ratings)
         assert report.n == expected_n[series]
         by_label = {r.metric_name: r for r in report.results}
+        # the Stars cell of each rendered row, by metric label
+        table = render_correlations_csv(report, []).splitlines()[1 : 1 + len(report.results)]
+        stars = {cells[0]: cells[3] for cells in (line.split(",") for line in table)}
         for attr in REFERENCE_COLUMNS:
             rho_ref, p_ref, stars_ref = reference[(series, attr)]
             result = by_label[METRIC_BY_ATTR[attr].label]
@@ -121,7 +125,7 @@ def test_criterion_2_reference_correlation_tables():
             assert abs(result.rho - rho_ref) <= RHO_TOLERANCE, (series, attr, result.rho)
             exception = STAR_EXCEPTIONS.get((series, attr))
             if exception is None:
-                assert result.significance == stars_ref, (series, attr, result.p_value)
+                assert stars[result.metric_name] == stars_ref, (series, attr, result.p_value)
             else:
                 assert abs(result.p_value - p_ref) <= exception["p_tol"], (
                     series,
@@ -129,7 +133,7 @@ def test_criterion_2_reference_correlation_tables():
                     result.p_value,
                 )
                 # strict thresholds, applied to the recomputed p, decide
-                assert result.significance == significance_stars(result.p_value)
+                assert stars[result.metric_name] == significance_stars(result.p_value)
     assert time.perf_counter() - started < 5.0
     print("criterion 2 (reference correlation tables): PASS")
 

@@ -117,6 +117,13 @@ class TestValidate:
         assert code == 2
         assert "ratings file not found" in capsys.readouterr().err
 
+    def test_missing_segments_dir(self, clean_dataset, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        code = run_cli("validate", (missing, clean_dataset[1]), tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: segments directory not found: {missing}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_empty_segments_dir(self, clean_dataset, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -373,6 +380,11 @@ class TestMetrics:
         code = run_cli("metrics", clean_dataset, tmp_path / "out", "--format", "pdf")
         assert code == 2
         assert "unknown output format" in capsys.readouterr().err
+
+    def test_empty_format_list_rejected(self, clean_dataset, tmp_path, capsys):
+        code = run_cli("metrics", clean_dataset, tmp_path / "out", "--format", ",")
+        assert code == 2
+        assert capsys.readouterr().err == "error: at least one output format is required\n"
 
 
 class TestCorrelate:

@@ -142,6 +142,11 @@ class TestParseSegmentFile:
         with pytest.raises(FormatError):
             parse_segment_file(minimal_file(**overrides))
 
+    def test_edges_must_be_a_list(self):
+        with pytest.raises(FormatError) as raised:
+            parse_segment_file(minimal_file(segments=[{"index": 0, "edges": 5}]))
+        assert str(raised.value) == "segment 0: edges must be a list"
+
     @pytest.mark.parametrize(
         "edge",
         [
@@ -376,6 +381,23 @@ def test_round_trip(seed):
         assert theirs.edges == ours.edges  # weights exact, not approximate
 
 
+@pytest.mark.parametrize(
+    "key, name, message",
+    [
+        (("demo", 1, 1), "Jon\nSnow", r"segment 0: character name 'Jon\nSnow' must not contain control characters"),
+        (("demo", 1, 1), "Jon\ud800", r"segment 0: character name 'Jon\ud800' is not encodable as UTF-8"),
+        (("a/b", 1, 1), "Jon", r"episode file: series 'a/b' must not contain '/', '\' or control characters"),
+        (("demo", 0, 1), "Jon", "episode file: season must be a positive integer, got 0"),
+    ],
+    ids=["line-break-in-name", "lone-surrogate-in-name", "slash-in-series", "season-zero"],
+)
+def test_serialize_refuses_what_the_parser_refuses(key, name, message):
+    segment = add_interaction(SegmentGraph(index=0), name, "Arya", 1.0)
+    with pytest.raises(FormatError) as raised:
+        serialize_episode(EpisodeKey(*key), [segment])
+    assert str(raised.value) == message
+
+
 # Raw names that trim to four distinct characters, so one character can be
 # first sighted under one spelling and hit the memo under another.
 _RAW_NAMES = [pad + name + end for name in ("Ann", "Bo", "Cy", "Dee") for pad in ("", " ") for end in ("", " ")]
@@ -495,6 +517,25 @@ class TestParseRatingsCsv:
             )
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            (" ,1,1,8.0", "series is empty"),
+            ("got,0,1,8.0", "season and episode must be positive"),
+            ("got,1,1,abc", "could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_row_errors_name_their_line(self, row, message):
+        with pytest.raises(FormatError) as raised:
+            parse_ratings_csv(f"series,season,episode,rating\n{row}\n")
+        assert str(raised.value) == f"ratings CSV line 2: {message}"
+
+    def test_oversized_cell_is_unreadable(self):
+        cell = '"' + "x" * 140_000 + '"'
+        with pytest.raises(FormatError) as raised:
+            parse_ratings_csv(f"series,season,episode,rating\n{cell},1,1,8.0\n")
+        assert str(raised.value) == "ratings CSV is unreadable: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize(
         "series", ["../escaped", "a/b", "a\\b", "a\x7fb", "a\tb", "a\u2028b", "a\u2029b"]
     )
     def test_series_must_be_file_safe(self, series):
@@ -561,11 +602,6 @@ class TestLoadDataset:
         assert len(episodes) == 12
         assert dataset_warnings == [] and all(e.warnings == [] for e in episodes)
         assert [e.key for e in episodes] == sorted(e.key for e in episodes)
-        # per-series ordinals restart at 1
-        alpha = [e.ordinal for e in episodes if e.key.series == "alpha"]
-        beta = [e.ordinal for e in episodes if e.key.series == "beta"]
-        assert alpha == list(range(1, 7))
-        assert beta == list(range(1, 7))
 
     def test_messy_load_warns(self, tmp_path):
         segments_dir, ratings_csv = build_messy_dataset(tmp_path)

@@ -19,14 +19,16 @@ from charnet.errors import (
     DegenerateGraphError,
     EmptyVectorError,
     NoEdgesError,
+    SelfLoopError,
 )
-from charnet.graph import EpisodeGraph, EpisodeKey, add_interaction
+from charnet.graph import EpisodeGraph, EpisodeKey, add_interaction, canonical_pair
 from charnet.metrics import (
     EFFICIENCY_MODES,
     METRICS,
     MetricsConfig,
     active_nodes,
     compute_episode_metrics,
+    connected_components,
     degree_vector,
     density,
     efficiency_metric,
@@ -165,6 +167,10 @@ class TestEfficiencyMetric:
     def test_no_edges_degenerate(self):
         with pytest.raises(DegenerateGraphError):
             efficiency_metric(graph_from({}, extra_nodes=["A", "B"]))
+
+    def test_no_edges_degenerate_neighborhood(self):
+        with pytest.raises(DegenerateGraphError, match="^no active nodes$"):
+            efficiency_metric(graph_from({}, extra_nodes=["A", "B"]), mode="neighborhood")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -430,6 +436,44 @@ class TestComputeEpisodeMetrics:
         assert any("eigenvector" in w for w in row.warnings)
 
 
+class TestSelfLoop:
+    """Only a hand-built graph can hold a pair of one node; every metric
+    refuses it with a CharnetError instead of dividing by zero."""
+
+    GRAPHS = [{("A", "A"): 1.0}, {("A", "A"): 1.0, ("A", "B"): 2.0}]
+
+    @staticmethod
+    def _looped(edges) -> EpisodeGraph:
+        return EpisodeGraph(key=KEY, nodes={v for pair in edges for v in pair}, edges=dict(edges))
+
+    @pytest.mark.parametrize("edges", GRAPHS)
+    @pytest.mark.parametrize("mode", EFFICIENCY_MODES)
+    def test_row_raises(self, edges, mode):
+        with pytest.raises(SelfLoopError, match="self-loop on 'A'"):
+            compute_episode_metrics(self._looped(edges), MetricsConfig(efficiency_mode=mode))
+
+    @pytest.mark.parametrize("edges", GRAPHS)
+    @pytest.mark.parametrize(
+        "function",
+        [
+            active_nodes,
+            density,
+            node_strengths,
+            global_efficiency,
+            efficiency_metric,
+            lambda g: efficiency_metric(g, mode="neighborhood"),
+            transitivity,
+            degree_vector,
+            harmonic_vector,
+            eigenvector_vector,
+            connected_components,
+        ],
+    )
+    def test_every_metric_function_raises(self, edges, function):
+        with pytest.raises(SelfLoopError):
+            function(self._looped(edges))
+
+
 class TestSharedIndex:
     """compute_episode_metrics builds one index per row and passes it to the
     public functions it calls; the graph itself is never indexed again."""
@@ -531,6 +575,25 @@ def test_bounded_metrics_stay_in_unit_interval(layout):
     assert row.degree_max <= row.active_nodes - 1
     neighborhood = efficiency_metric(g, mode="neighborhood")
     assert 0.0 <= neighborhood <= 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_pair20, st.floats(min_value=5e-324, max_value=1.7e308)), max_size=40),
+    st.sampled_from(EFFICIENCY_MODES),
+    st.sampled_from([1, 3, 10000]),
+)
+def test_rows_warn_only_on_strength_and_eigen(layout, mode, max_iter):
+    # a row with an edge has two active nodes, so only a strength sum past the
+    # float range or an eigen iteration short of its tolerance can fail
+    g = EpisodeGraph(key=KEY, nodes={"Hermit"})
+    for (ia, ib), w in layout:
+        a, b = f"P{ia:02d}", f"P{ib:02d}"
+        g.nodes.update((a, b))
+        g.edges[canonical_pair(a, b)] = w
+    row = compute_episode_metrics(g, MetricsConfig(mode, 1e-10, max_iter))
+    allowed = ("strength: ", "eigenvector: ") if g.edges else ("DegenerateGraph: ",)
+    assert all(w.startswith(allowed) for w in row.warnings), row.warnings
 
 
 @settings(max_examples=60, deadline=None)

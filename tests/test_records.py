@@ -76,7 +76,7 @@ def _graph(**facts) -> EpisodeGraph:
 class TestEpisodeGraph:
     @pytest.mark.parametrize(
         "facts",
-        [{"warnings": ["MissingRating: no review score"]}, {"ordinal": 2}, {"duplicates_dropped": 1}, {"segment_count": 3}],
+        [{"warnings": ["MissingRating: no review score"]}, {"duplicates_dropped": 1}, {"segment_count": 3}],
         ids=lambda facts: next(iter(facts)),
     )
     def test_equality_compares_load_facts(self, facts):
@@ -91,7 +91,7 @@ class TestEpisodeGraph:
     def test_repr_names_every_field(self):
         assert repr(EpisodeGraph(key=KEY)) == (
             "EpisodeGraph(key=EpisodeKey(series='got', season=1, episode=1), nodes=set(), edges={}, "
-            "segment_count=0, ordinal=0, warnings=[], duplicates_dropped=0)"
+            "segment_count=0, warnings=[], duplicates_dropped=0)"
         )
 
     def test_defaults_are_not_shared(self):
@@ -106,9 +106,9 @@ class TestEpisodeMetrics:
         with pytest.raises(TypeError, match="bogus"):
             EpisodeMetrics(key=KEY, bogus=1)
 
-    def test_attributes_are_key_ordinal_warnings_and_the_metric_columns(self):
+    def test_attributes_are_key_warnings_and_the_metric_columns(self):
         public = {name for name in dir(EpisodeMetrics(key=KEY)) if not name.startswith("_")}
-        assert public == {"key", "ordinal", "warnings", *(column.attr for column in METRICS)}
+        assert public == {"key", "warnings", *(column.attr for column in METRICS)}
 
     def test_cells_start_at_zero_of_their_column_type(self):
         row = EpisodeMetrics(key=KEY)

@@ -47,7 +47,6 @@ def _rows() -> list[EpisodeMetrics]:
     return [
         EpisodeMetrics(
             key=EpisodeKey("demo", 1, 2),
-            ordinal=2,
             active_nodes=4,
             density=0.5,
             efficiency=0.75,
@@ -63,7 +62,6 @@ def _rows() -> list[EpisodeMetrics]:
         ),
         EpisodeMetrics(
             key=EpisodeKey("demo", 1, 1),
-            ordinal=1,
             active_nodes=2,
             density=1.0,
             efficiency=1.0,
@@ -96,6 +94,15 @@ class TestMetricsCsv:
         assert lines[4] == "# eigen tol: 1e-10"
         assert text.endswith("\n")
         assert "\r" not in text
+
+    def test_rows_are_numbered_by_key_order(self):
+        # a row's number is its place in the table, not its episode number
+        rows = [
+            EpisodeMetrics(key=EpisodeKey("s", 2, 1), density=0.1),
+            EpisodeMetrics(key=EpisodeKey("s", 1, 3), density=0.3),
+        ]
+        lines = render_metrics_csv(rows, {}, []).splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [["1", "", "0.300"], ["2", "", "0.100"]]
 
     def test_three_decimal_reals_and_bare_integers(self):
         text = render_metrics_csv(_rows(), _ratings(), [])
@@ -144,7 +151,6 @@ def _report(with_permutation: bool = False) -> CorrelationReport:
             metric_name="Density",
             rho=0.418,
             p_value=0.0336,
-            significance="*",
             permutation_p=0.034 if with_permutation else None,
         ),
         CorrelationResult(
@@ -166,6 +172,11 @@ class TestCorrelationsCsv:
         assert lines[0] == "Metric,Correlation,pValue,Stars"
         assert lines[1] == "Density,0.418,0.034,*"
         assert lines[2] == "Active Nodes,,,"
+
+    def test_stars_follow_the_p_value(self):
+        results = [CorrelationResult("Density", 0.1, 0.9), CorrelationResult("Efficiency", 0.7, 0.005)]
+        lines = render_correlations_csv(CorrelationReport(results=results, n=26), []).splitlines()
+        assert lines[1:3] == ["Density,0.100,0.900,", "Efficiency,0.700,0.005,**"]
 
     def test_footer_fields(self):
         lines = render_correlations_csv(_report(with_permutation=True), NOTES).splitlines()

@@ -20,6 +20,7 @@ from charnet.errors import (
 )
 from charnet.graph import EpisodeKey
 from charnet.metrics import METRICS, EpisodeMetrics
+from charnet.report import render_correlations_csv
 from charnet.stats import (
     correlate_all,
     permutation_pvalue,
@@ -477,7 +478,6 @@ def _demo_rows() -> list[EpisodeMetrics]:
         rows.append(
             EpisodeMetrics(
                 key=EpisodeKey("demo", 1, i),
-                ordinal=i,
                 active_nodes=5,  # constant on purpose: must be flagged
                 density=i / 10.0,
                 efficiency=rng.random(),
@@ -525,7 +525,7 @@ class TestCorrelateAll:
         density = next(r for r in report.results if r.metric_name == "Density")
         assert density.rho == 1.0
         assert density.p_value == 0.0
-        assert density.significance == "**"
+        assert significance_stars(density.p_value) == "**"
         reversed_col = next(
             r for r in report.results if r.metric_name == "Transitivity"
         )
@@ -536,7 +536,7 @@ class TestCorrelateAll:
         flagged = next(r for r in report.results if r.metric_name == "Active Nodes")
         assert flagged.rho is None
         assert flagged.p_value is None
-        assert flagged.significance == ""
+        assert "\nActive Nodes,,,\n" in render_correlations_csv(report, [])
         assert "constant" in flagged.note
 
     def test_unrated_episodes_excluded_and_counted(self):
