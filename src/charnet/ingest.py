@@ -160,7 +160,12 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
         raise FormatError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("JSON nested too deeply") from exc
+    return _read_episode(doc)
 
+
+def _read_episode(doc) -> ParsedEpisode:
+    """parse_segment_file's reading of a decoded document; serialize_episode
+    reads what it writes through it too."""
     key = _episode_key(doc)
 
     segments_json = _require(doc, "segments", "episode file")
@@ -231,14 +236,13 @@ def serialize_episode(key: EpisodeKey, segments: list[SegmentGraph]) -> str:
     """Render an episode back to the canonical JSON file form.
 
     Node and edge lists are emitted sorted, so output is unique for a
-    given episode and re-parsing reproduces the same graphs exactly.  A key
-    or name that parse_segment_file would refuse raises the parser's own
-    FormatError here, so no file is written that cannot be read back.
+    given episode and re-parsing reproduces the same key and graphs
+    exactly: the document is read back by the parser's own reader before
+    it is written.  What the parser would refuse raises the parser's own
+    error, and what it would read back changed (an untrimmed name, a pair
+    out of sorted order, an edge endpoint missing from the nodes, an int
+    weight no float holds) raises FormatError.
     """
-    _episode_key(key._asdict())
-    for position, seg in enumerate(segments):
-        for name in sorted(seg.nodes.union(*seg.edges)):
-            _line_safe(name, "character name", f"segment {position}")
     payload = {
         "series": key.series,
         "season": key.season,
@@ -254,6 +258,12 @@ def serialize_episode(key: EpisodeKey, segments: list[SegmentGraph]) -> str:
             for position, seg in enumerate(segments)
         ],
     }
+    read = _read_episode(payload)
+    if read.key != key:
+        raise FormatError("episode file: its key would not read back as given")
+    for position, (seg, back) in enumerate(zip(segments, read.segments)):
+        if (back.nodes, back.edges) != (seg.nodes, seg.edges):
+            raise FormatError(f"segment {position}: its nodes and edges would not read back as given")
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 

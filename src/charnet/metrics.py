@@ -13,17 +13,20 @@ exact to its tolerance, where power iteration stops.
 
 Score vectors are plain dicts, one float per active node.
 
-Every topology metric reads an index of the active nodes (_Index), with
-neighbor sets as int bitsets, and one all-sources traversal (_hop_counts)
-gives every node its integer histogram of hop distances: all balls grow
-together, one hop per round, and the popcount of a ball's new bits counts
-the nodes at that distance.  Harmonic centrality reads a node's histogram;
-component-mean efficiency pools its members' histograms; neighborhood
-efficiency runs the same traversal masked to each neighborhood;
-connected_components needs no histogram and grows one part at a time.  A row
-indexes its episode once: the index also carries the graph's nodes and
-edges, so compute_episode_metrics passes it to each public function in
-place of the graph, and any function given a graph indexes it afresh.
+Every topology metric reads an index of the active nodes (_Index), which
+holds each node's neighbors twice, built in one pass over the edges: as an
+int bitset, for set algebra, and as a list of positions in edge order, for
+walking.  One all-sources traversal (_hop_counts) gives every node its
+integer histogram of hop distances: all balls grow together, one hop per
+round, and the popcount of a ball's new bits counts the nodes at that
+distance.  Harmonic centrality reads a node's histogram; component-mean
+efficiency pools its members' histograms; neighborhood efficiency runs the
+same traversal masked to each neighborhood; connected_components needs no
+histogram and grows one part at a time.  Every sum over a neighbor list is
+exact, so edge order shows in no value.  A row indexes its episode once:
+the index also carries the graph's nodes and edges, so
+compute_episode_metrics passes it to each public function in place of the
+graph, and any function given a graph indexes it afresh.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from .errors import (
     ConvergenceError,
     DegenerateGraphError,
     EmptyVectorError,
+    InvariantError,
     NoEdgesError,
     SelfLoopError,
 )
@@ -115,28 +119,36 @@ def node_strengths(graph) -> dict[CharacterId, float]:
 
 class _Index:
     """An episode's active nodes in sorted order, each mapped to its bit
-    position, and per position the neighbors as an int bitset (bit j set:
-    edge to node j).  Every topology metric reads one; the all-sources hop
-    histogram is computed on first use.  It keeps the graph's nodes and
-    edges, so every metric function accepts it in place of the graph.  A
-    pair of one node, which only a hand-built graph can hold, is refused."""
+    position, and per position the neighbors twice: as an int bitset (bit j
+    set: edge to node j) and as a list of positions in edge order.  Every
+    topology metric reads one; the all-sources hop histogram is computed on
+    first use.  It keeps the graph's nodes and edges, so every metric
+    function accepts it in place of the graph.  A pair of one node or a
+    pair out of sorted order, which only a hand-built graph can hold, is
+    refused: the lists would hold a neighbor twice where a bitset holds it
+    once."""
 
     def __init__(self, graph) -> None:
         self.nodes, self.edges = graph.nodes, graph.edges
         active = {v for pair in graph.edges for v in pair}
         self.position = {v: i for i, v in enumerate(sorted(active))}
         self.nbr = [0] * len(self.position)
+        self.adj: list[list[int]] = [[] for _ in self.nbr]
         for a, b in graph.edges:
-            if a == b:
-                raise SelfLoopError(f"self-loop on {a!r}")
+            if not a < b:
+                if a == b:
+                    raise SelfLoopError(f"self-loop on {a!r}")
+                raise InvariantError(f"edge {a!r}-{b!r} is not stored as a sorted pair")
             i, j = self.position[a], self.position[b]
             self.nbr[i] |= 1 << j
             self.nbr[j] |= 1 << i
+            self.adj[i].append(j)
+            self.adj[j].append(i)
 
     @cached_property
     def hops(self) -> tuple[list[int], list[list[int]]]:
         """_hop_counts over the whole graph, one entry per position."""
-        return _hop_counts(self.nbr, (1 << len(self.nbr)) - 1)
+        return _hop_counts(self.nbr, (1 << len(self.nbr)) - 1, dict(enumerate(self.adj)))
 
 
 def _index(graph) -> _Index:
@@ -145,19 +157,22 @@ def _index(graph) -> _Index:
 
 
 def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
+    """Positions of the set bits of mask, descending."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
     return out
 
 
-def _hop_counts(nbr: list[int], within: int) -> tuple[list[int], list[list[int]]]:
-    """For every node of `within`, in ascending order: the nodes it reaches
-    by paths that stay inside `within` (its component there, as a bitset),
-    and its distance histogram, counts[k - 1] = nodes exactly k hops away.
+def _hop_counts(
+    nbr: list[int], within: int, around: dict[int, list[int]]
+) -> tuple[list[int], list[list[int]]]:
+    """For every node of `within`, in the order of `around`, which maps each
+    of them to its neighbors inside `within`: the nodes it reaches by paths
+    that stay inside `within` (its component there, as a bitset), and its
+    distance histogram, counts[k - 1] = nodes exactly k hops away.
 
     Every source expands at once, one hop per round (bit-parallel BFS, as in
     Akiba, Iwata & Yoshida, SIGMOD 2013): a node's ball of radius k is the
@@ -168,16 +183,8 @@ def _hop_counts(nbr: list[int], within: int) -> tuple[list[int], list[list[int]]
     growing holds its whole component and drops out.  Work and memory grow
     with the nodes and edges inside `within`, not with the whole graph.
     """
-    balls: dict[int, int] = {}
-    around: dict[int, list[int]] = {}
-    counts: dict[int, list[int]] = {}
-    for v in _bits(within):
-        inner = nbr[v] & within
-        balls[v] = inner | 1 << v  # radius 1
-        counts[v] = []
-        if inner:
-            around[v] = _bits(inner)
-            counts[v].append(len(around[v]))
+    balls = {v: nbr[v] & within | 1 << v for v in around}  # radius 1
+    counts = {v: [len(near)] if near else [] for v, near in around.items()}
     growing = around
     while growing:
         grown = {}
@@ -214,11 +221,21 @@ def connected_components(graph) -> list[set[CharacterId]]:
     return sorted(parts, key=min)
 
 
+@lru_cache(maxsize=32)
+def _harmonic_weights(length: int) -> tuple[int, tuple[int, ...]]:
+    """(lcm of 1..length, that lcm // k for k = 1..length).  An episode's
+    histograms have a handful of lengths; the bound keeps the weights of a
+    long path, whose bits grow with the square of its length, from piling
+    up."""
+    scale = math.lcm(*range(1, length + 1))
+    return scale, tuple(scale // k for k in range(1, length + 1))
+
+
 def _reciprocal(counts: list[int]) -> float:
     """Sum over k of counts[k - 1] / k, added as exact integers and rounded
     once, so it depends on the histogram alone, never on visiting order."""
-    scale = math.lcm(*range(1, len(counts) + 1))
-    return sum(c * (scale // k) for k, c in enumerate(counts, 1)) / scale
+    scale, weights = _harmonic_weights(len(counts))
+    return sum(map(operator.mul, counts, weights)) / scale
 
 
 def _efficiency(n: int, histograms) -> float:
@@ -259,10 +276,10 @@ def efficiency_metric(graph, mode: str = "component-mean") -> float:
         if not nbr:
             raise DegenerateGraphError("no active nodes")
         values = [
-            _efficiency(mask.bit_count(), _hop_counts(nbr, mask)[1])
-            if mask.bit_count() >= 2
+            _efficiency(len(members), _hop_counts(nbr, mask, {u: _bits(nbr[u] & mask) for u in members})[1])
+            if len(members) >= 2
             else 0.0
-            for mask in nbr
+            for mask, members in zip(nbr, index.adj)
         ]
     else:
         raise ValueError(f"unknown efficiency mode {mode!r}")
@@ -313,33 +330,37 @@ def eigenvector_vector(
     (Bonacich, J. Math. Sociol. 2(1), 1972), so no visiting order can
     show in them.  Past 120 bits every count is shifted right by one
     common amount that keeps 60; the shift acts on each count alone.
-    A step forms the float iterate and its full max-norm delta only when
-    one watched coordinate, the one that changed most at the last full
-    check, moved by less than tol: its change bounds the delta from below.
-    The last step max_iter allows is always checked in full, so results
-    and error text are those of checking every step.
+    A step forms the exact norms, the float iterate and its full max-norm
+    delta only when one watched coordinate, the one that changed most at
+    the last full check, could have moved by less than tol: its change
+    bounds the delta from below.  The gate reads that change under
+    math.hypot norms, which differs from the full check's reading by at
+    most a few ulps of 1, about 2e-15, so a step is skipped only when the
+    change passes tol by a slack of 1e-13.  The last step max_iter allows
+    is always checked in full, so results and error text are those of
+    checking every step.
     """
     index = _index(graph)
-    nbr = index.nbr
-    if not nbr:
+    if not index.nbr:
         raise NoEdgesError("eigenvector centrality needs at least one edge")
     # an active node's closed neighborhood has 2 or more members, so each getter returns a tuple
-    closed = [operator.itemgetter(i, *_bits(mask)) for i, mask in enumerate(nbr)]
+    closed = [operator.itemgetter(i, *around) for i, around in enumerate(index.adj)]
 
-    n = len(nbr)
+    n = len(closed)
     y = [1] * n
-    norm = math.sqrt(n)
+    rough = math.sqrt(n)
     delta = math.inf
     watch = 0
     for left in reversed(range(max_iter)):  # steps left after this one
-        prev, prev_norm = y, norm
+        prev, prev_rough = y, rough
         y = [sum(get(prev)) for get in closed]
         top = max(y).bit_length()
         if top > 120:
             y = [v >> (top - 60) for v in y]
-        norm = math.sqrt(sum(map(operator.mul, y, y)))
-        if left and abs(y[watch] / norm - prev[watch] / prev_norm) >= tol:
+        rough = math.hypot(*y)
+        if left and abs(y[watch] / rough - prev[watch] / prev_rough) >= tol + 1e-13:
             continue
+        prev_norm, norm = (math.sqrt(sum(map(operator.mul, v, v))) for v in (prev, y))
         step = [v / norm for v in y]
         diffs = list(map(abs, map(operator.sub, step, [v / prev_norm for v in prev])))
         delta = max(diffs)

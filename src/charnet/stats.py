@@ -159,7 +159,7 @@ def spearman_pvalue(rho: float, n: int) -> float:
 
 
 # bytes of shuffled y values that one batch of the permutation test packs
-_BATCH_BYTES = 4096
+_BATCH_BYTES = 16384
 
 
 def check_permutations(iterations: int) -> None:

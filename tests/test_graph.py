@@ -316,9 +316,9 @@ class TestComponents:
         calls = []
         hop_counts = metrics._hop_counts
 
-        def counting(nbr, within):
+        def counting(nbr, within, around):
             calls.append(within)
-            return hop_counts(nbr, within)
+            return hop_counts(nbr, within, around)
 
         monkeypatch.setattr(metrics, "_hop_counts", counting)
         g = graph_from({("A", "B"): 1.0, ("B", "C"): 1.0, ("D", "E"): 1.0})

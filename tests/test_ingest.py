@@ -381,21 +381,85 @@ def test_round_trip(seed):
         assert theirs.edges == ours.edges  # weights exact, not approximate
 
 
+def _hand_segment(edges, nodes=None) -> SegmentGraph:
+    """A segment built without add_interaction's checks; its nodes default
+    to the edge endpoints."""
+    return SegmentGraph(0, {v for pair in edges for v in pair} if nodes is None else nodes, dict(edges))
+
+
+def _unchecked_file(key: EpisodeKey, segments) -> str:
+    """The file serialize_episode would write for these segments, unchecked."""
+    return json.dumps(
+        {
+            **key._asdict(),
+            "segments": [
+                {
+                    "index": position,
+                    "nodes": sorted(seg.nodes),
+                    "edges": [{"a": a, "b": b, "w": w} for (a, b), w in sorted(seg.edges.items())],
+                }
+                for position, seg in enumerate(segments)
+            ],
+        }
+    )
+
+
+_JON = _hand_segment({("Arya", "Jon"): 1.0})
+_CHANGED = "segment 0: its nodes and edges would not read back as given"
+
+
 @pytest.mark.parametrize(
-    "key, name, message",
+    "key, segments, error, message",
     [
-        (("demo", 1, 1), "Jon\nSnow", r"segment 0: character name 'Jon\nSnow' must not contain control characters"),
-        (("demo", 1, 1), "Jon\ud800", r"segment 0: character name 'Jon\ud800' is not encodable as UTF-8"),
-        (("a/b", 1, 1), "Jon", r"episode file: series 'a/b' must not contain '/', '\' or control characters"),
-        (("demo", 0, 1), "Jon", "episode file: season must be a positive integer, got 0"),
+        (("demo", 1, 1), [_hand_segment({("Arya", "Jon\nSnow"): 1.0})], FormatError,
+         r"segment 0: character name 'Jon\nSnow' must not contain control characters"),
+        (("demo", 1, 1), [_hand_segment({("Arya", "Jon\ud800"): 1.0})], FormatError,
+         r"segment 0: character name 'Jon\ud800' is not encodable as UTF-8"),
+        (("a/b", 1, 1), [_JON], FormatError, r"episode file: series 'a/b' must not contain '/', '\' or control characters"),
+        (("demo", 0, 1), [_JON], FormatError, "episode file: season must be a positive integer, got 0"),
+        (("demo", 1, 1), [], FormatError, "episode file: segments list is empty"),
+        (("demo", 1, 1), [_hand_segment({("Arya", "Jon"): 0.0})], InvariantError,
+         "segment 0: edge 'Arya'-'Jon' needs a positive finite weight, got 0.0"),
+        (("demo", 1, 1), [_JON, _hand_segment({("Arya", "Jon"): -2.5})], InvariantError,
+         "segment 1: edge 'Arya'-'Jon' needs a positive finite weight, got -2.5"),
+        (("demo", 1, 1), [_hand_segment({("Arya", "Jon"): math.nan})], InvariantError,
+         "segment 0: edge 'Arya'-'Jon' needs a positive finite weight, got nan"),
+        (("demo", 1, 1), [_hand_segment({("Arya", "Jon"): math.inf})], InvariantError,
+         "segment 0: edge 'Arya'-'Jon' needs a positive finite weight, got inf"),
+        (("demo", 1, 1), [_hand_segment({("Arya", "Jon"): True})], FormatError,
+         "segment 0: edge weight must be a number, got True"),
+        (("demo", 1, 1), [_hand_segment({("Jon", "Jon"): 1.0})], InvariantError, "segment 0: self-loop on 'Jon'"),
+        (("demo", 1, 1), [_hand_segment({(" ", "Jon"): 1.0})], InvariantError,
+         "segment 0: character name is empty after trimming"),
+        # the parser takes the rest, but reads back other graphs
+        (("demo", 1, 1), [_hand_segment({(" Arya", "Jon"): 1.0})], FormatError, _CHANGED),
+        (("demo", 1, 1), [_hand_segment({("Jon", "Arya"): 1.0})], FormatError, _CHANGED),
+        (("demo", 1, 1), [_hand_segment({("Arya", "Jon"): 1.0, ("Jon", "Arya"): 2.0})], FormatError, _CHANGED),
+        (("demo", 1, 1), [_hand_segment({("Arya", "Jon"): 1.0}, nodes={"Arya"})], FormatError, _CHANGED),
+        (("demo", 1, 1), [_hand_segment({("Arya", "Jon"): 2**53 + 1})], FormatError, _CHANGED),
+        ((" demo", 1, 1), [_JON], FormatError, "episode file: its key would not read back as given"),
     ],
-    ids=["line-break-in-name", "lone-surrogate-in-name", "slash-in-series", "season-zero"],
+    ids=[
+        "line-break-in-name", "lone-surrogate-in-name", "slash-in-series", "season-zero", "no-segments",
+        "zero-weight", "negative-weight", "nan-weight", "inf-weight", "bool-weight", "self-loop",
+        "empty-name", "untrimmed-name", "unsorted-pair", "pair-twice", "endpoint-not-a-node", "int-past-float",
+        "untrimmed-series",
+    ],
 )
-def test_serialize_refuses_what_the_parser_refuses(key, name, message):
-    segment = add_interaction(SegmentGraph(index=0), name, "Arya", 1.0)
-    with pytest.raises(FormatError) as raised:
-        serialize_episode(EpisodeKey(*key), [segment])
+def test_serialize_refuses_what_the_parser_refuses(key, segments, error, message):
+    key = EpisodeKey(*key)
+    with pytest.raises(error) as raised:
+        serialize_episode(key, segments)
     assert str(raised.value) == message
+    try:
+        parsed = parse_segment_file(_unchecked_file(key, segments))
+    except CharnetError as exc:  # the parser's own error, word for word
+        assert (type(exc), str(exc)) == (error, message)
+    else:
+        assert (parsed.key, [(seg.nodes, seg.edges) for seg in parsed.segments]) != (
+            key,
+            [(seg.nodes, seg.edges) for seg in segments],
+        )
 
 
 # Raw names that trim to four distinct characters, so one character can be

@@ -18,6 +18,7 @@ from charnet.errors import (
     ConvergenceError,
     DegenerateGraphError,
     EmptyVectorError,
+    InvariantError,
     NoEdgesError,
     SelfLoopError,
 )
@@ -241,6 +242,9 @@ class TestHarmonic:
         assert global_efficiency(g) == float(pairs) / 30
 
 
+_PATH10 = [f"N{i:02d}" for i in range(10)]
+
+
 @st.composite
 def _shaped_edges(draw):
     """Edges of a star, path, complete graph or random bipartite graph."""
@@ -314,14 +318,17 @@ class TestEigenvector:
     @settings(max_examples=80, deadline=None)
     @given(
         _shaped_edges(),
-        st.sampled_from([0.5, 1e-3, 1e-10, 1e-14]),
+        st.sampled_from([0.5, 1e-3, 1e-10, 1e-13, 1e-14, 1e-15]),
         st.sampled_from([1, 2, 3, 10, 10000]),
     )
     @example([("A", "B"), ("B", "C")], 1e-10, 1)  # the cap reached on the first step
     @example(list(itertools.combinations("ABCD", 2)), 0.5, 10000)  # a fixed point at once
+    # 134 steps, whose counts cross 120 bits twice and are shifted
+    @example(list(zip(_PATH10, _PATH10[1:])), 1e-15, 10000)
     def test_equals_full_delta_loop(self, edges, tol, max_iter):
-        # the watched coordinate only skips steps the full delta check
-        # would not stop at, so scores and error text match exactly
+        # the watched coordinate, read under hypot norms, only skips steps
+        # the full delta check would not stop at, even at tolerances near
+        # the gate's slack, so scores and error text match exactly
         g = graph_from({pair: 1.0 for pair in edges})
         try:
             expected = power_iteration_eigen(edges, tol, max_iter)
@@ -452,26 +459,45 @@ class TestSelfLoop:
         with pytest.raises(SelfLoopError, match="self-loop on 'A'"):
             compute_episode_metrics(self._looped(edges), MetricsConfig(efficiency_mode=mode))
 
+    FUNCTIONS = [
+        active_nodes,
+        density,
+        node_strengths,
+        global_efficiency,
+        efficiency_metric,
+        lambda g: efficiency_metric(g, mode="neighborhood"),
+        transitivity,
+        degree_vector,
+        harmonic_vector,
+        eigenvector_vector,
+        connected_components,
+    ]
+
     @pytest.mark.parametrize("edges", GRAPHS)
-    @pytest.mark.parametrize(
-        "function",
-        [
-            active_nodes,
-            density,
-            node_strengths,
-            global_efficiency,
-            efficiency_metric,
-            lambda g: efficiency_metric(g, mode="neighborhood"),
-            transitivity,
-            degree_vector,
-            harmonic_vector,
-            eigenvector_vector,
-            connected_components,
-        ],
-    )
+    @pytest.mark.parametrize("function", FUNCTIONS)
     def test_every_metric_function_raises(self, edges, function):
         with pytest.raises(SelfLoopError):
             function(self._looped(edges))
+
+
+class TestUnsortedPair:
+    """Only a hand-built graph can hold a pair out of sorted order, alone or
+    beside its sorted twin; every metric refuses it with an InvariantError
+    instead of counting one neighbor twice."""
+
+    GRAPHS = [{("B", "A"): 1.0}, {("A", "B"): 1.0, ("B", "A"): 1.0, ("B", "C"): 1.0}]
+
+    @pytest.mark.parametrize("edges", GRAPHS)
+    @pytest.mark.parametrize("mode", EFFICIENCY_MODES)
+    def test_row_raises(self, edges, mode):
+        with pytest.raises(InvariantError, match="edge 'B'-'A' is not stored as a sorted pair"):
+            compute_episode_metrics(TestSelfLoop._looped(edges), MetricsConfig(efficiency_mode=mode))
+
+    @pytest.mark.parametrize("edges", GRAPHS)
+    @pytest.mark.parametrize("function", TestSelfLoop.FUNCTIONS)
+    def test_every_metric_function_raises(self, edges, function):
+        with pytest.raises(InvariantError):
+            function(TestSelfLoop._looped(edges))
 
 
 class TestSharedIndex:
@@ -507,9 +533,9 @@ class TestSharedIndex:
         whole = []
         hop_counts = metrics._hop_counts
 
-        def counting(nbr, within):
+        def counting(nbr, within, around):
             whole.append(within == (1 << len(nbr)) - 1)
-            return hop_counts(nbr, within)
+            return hop_counts(nbr, within, around)
 
         monkeypatch.setattr(metrics, "_hop_counts", counting)
         for edges in (TRIANGLE, PATH4, STAR3, TWO_EDGES):
@@ -616,6 +642,28 @@ def test_scale_invariance(layout, factor):
     assert other.eigen_std == base.eigen_std
     assert other.strength_max == pytest.approx(base.strength_max * factor, rel=1e-12)
     assert other.strength_std == pytest.approx(base.strength_std * factor, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edges20)
+def test_neighbor_lists_match_bitsets(layout):
+    index = metrics._Index(_graph_from_layout(layout))
+    for around, mask in zip(index.adj, index.nbr):
+        assert len(around) == mask.bit_count()
+        assert set(around) == set(metrics._bits(mask))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edges20, st.randoms(use_true_random=False), st.sampled_from([3, 10000]))
+def test_edge_order_invariance(layout, rng, max_iter):
+    # neighbor lists follow edge order; no column, nor any warning, may show it
+    g = _graph_from_layout(layout)
+    pairs = list(g.edges.items())
+    rng.shuffle(pairs)
+    reordered = EpisodeGraph(key=KEY, nodes=set(g.nodes), edges=dict(pairs))
+    for mode in EFFICIENCY_MODES:
+        config = MetricsConfig(mode, 1e-10, max_iter)
+        assert compute_episode_metrics(reordered, config) == compute_episode_metrics(g, config), mode
 
 
 def _relabeled(g: EpisodeGraph, rng) -> tuple[dict[str, str], EpisodeGraph]:
