@@ -13,15 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import (
-    CharnetError,
-    DomainError,
-    EmptyDatasetError,
-    FormatError,
-    InsufficientDataError,
-    UnknownMetricError,
-    UnknownSeriesError,
-)
+from .errors import CharnetError, DegenerateInputError, DomainError, FormatError
 from .graph import EpisodeGraph
 from .ingest import load_dataset
 from .metrics import (
@@ -94,7 +86,7 @@ def _run(args: argparse.Namespace) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     files = sorted(args.segments.glob("*.json"))
     if not files:
-        raise EmptyDatasetError(f"no episode files found in {args.segments}")
+        raise FormatError(f"no episode files found in {args.segments}")
     episodes, ratings, dataset_warnings = load_dataset(files, args.ratings)
     # every subcommand, plot included, answers for the whole dataset's load warnings
     load_warned = bool(dataset_warnings) or any(graph.warnings for graph in episodes)
@@ -114,10 +106,10 @@ def _run(args: argparse.Namespace) -> int:
         column = METRIC_BY_ATTR.get(args.metric)
         if column is None:
             known = ", ".join(sorted(METRIC_BY_ATTR))
-            raise UnknownMetricError(f"unknown metric {args.metric!r}; known metrics: {known}")
+            raise FormatError(f"unknown metric {args.metric!r}; known metrics: {known}")
         if args.series not in graphs_by_series:
             known = ", ".join(graphs_by_series)
-            raise UnknownSeriesError(f"unknown series {args.series!r}; dataset has: {known}")
+            raise FormatError(f"unknown series {args.series!r}; dataset has: {known}")
         plots = [(args.series, column)]
         # plot computes, and counts the row warnings of, its own series only
         graphs_by_series = {args.series: graphs_by_series[args.series]}
@@ -168,7 +160,7 @@ def _run(args: argparse.Namespace) -> int:
             if row.key in ratings
         ]
         if not points:
-            raise InsufficientDataError(f"no rated episodes to plot for {series!r}")
+            raise DegenerateInputError(f"no rated episodes to plot for {series!r}")
         svg = render_scatter_svg(points, column.label, series, echo)
         _write(args.out / f"{series}_{column.attr}_scatter.svg", svg)
 

@@ -1,7 +1,13 @@
 """Exception types shared across the package.
 
-Everything raised on purpose derives from CharnetError so callers (and the
-CLI) can distinguish domain failures from genuine bugs.
+Everything raised on purpose derives from CharnetError, so callers (and the
+CLI, which turns it into exit code 2) can tell domain failures from genuine
+bugs.  There is one class per thing a caller does with an error: the
+parser and load_dataset prefix a FormatError or InvariantError with where
+it happened, correlate_all flags a column on a DegenerateInputError, and a
+metric row turns a ConvergenceError into a warning.  DomainError and
+DegenerateGraphError name the two other kinds of bad argument.  The
+message says which rule failed.
 """
 
 
@@ -9,87 +15,34 @@ class CharnetError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# graph construction
-
-class SelfLoopError(CharnetError):
-    """An interaction was declared between a character and itself."""
-
-
-class NonPositiveWeightError(CharnetError):
-    """An edge weight was zero, negative, or not a finite number."""
-
-
-class EmptyEpisodeError(CharnetError):
-    """An episode was aggregated from an empty segment list."""
-
-
-# dataset ingestion
-
 class FormatError(CharnetError):
-    """Input bytes do not match the documented file format."""
+    """Input does not match the documented formats: a malformed file or
+    field, a rating outside 1-10 or given twice, no episode files, an
+    unknown metric or series name."""
 
 
 class InvariantError(CharnetError):
-    """Structurally valid input violates a domain invariant."""
+    """Well-formed input breaks a graph rule: an empty name, a self-loop, a
+    weight or weight sum that is not a positive finite float, a pair out of
+    sorted order, an episode without segments."""
 
 
-class RangeError(CharnetError):
-    """A review score falls outside the 1-10 rating scale."""
+class DomainError(CharnetError):
+    """An argument lies outside its domain: a non-finite value to rank,
+    paired vectors of unequal length, an unknown efficiency mode, rows of
+    several series, a p-value's n or rho, too few permutations, a CLI
+    setting."""
 
-
-class DuplicateKeyError(CharnetError):
-    """The same (series, season, episode) key was rated twice."""
-
-
-class EmptyDatasetError(CharnetError):
-    """No episode files were supplied."""
-
-
-# metric computation
 
 class DegenerateGraphError(CharnetError):
-    """The graph is too small for the requested metric."""
+    """The graph is too small for the requested metric, or a summary was
+    asked of an empty score vector."""
 
 
-class NoEdgesError(CharnetError):
-    """Eigenvector centrality requires at least one edge."""
+class DegenerateInputError(CharnetError):
+    """A correlation input is empty, constant or too short to rank, or a
+    series has too few rated episodes to correlate or plot."""
 
 
 class ConvergenceError(CharnetError):
     """Power iteration hit the iteration cap before reaching tolerance."""
-
-
-class EmptyVectorError(CharnetError):
-    """A summary was requested for an empty score vector."""
-
-
-# statistics
-
-class NonFiniteError(CharnetError):
-    """An input vector contains NaN or infinity."""
-
-
-class LengthMismatchError(CharnetError):
-    """Paired vectors have different lengths."""
-
-
-class DegenerateInputError(CharnetError):
-    """A correlation input is constant or too short to rank."""
-
-
-class DomainError(CharnetError):
-    """A statistic was requested outside its mathematical domain."""
-
-
-class InsufficientDataError(CharnetError):
-    """Fewer than four rated episodes are available for correlation."""
-
-
-# reporting / CLI
-
-class UnknownMetricError(CharnetError):
-    """A plot was requested for a metric name that does not exist."""
-
-
-class UnknownSeriesError(CharnetError):
-    """A plot was requested for a series not present in the dataset."""

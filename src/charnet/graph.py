@@ -18,12 +18,7 @@ import operator
 import sys
 from collections import namedtuple
 
-from .errors import (
-    EmptyEpisodeError,
-    InvariantError,
-    NonPositiveWeightError,
-    SelfLoopError,
-)
+from .errors import InvariantError
 
 # Character identifiers are plain strings: trimmed, never empty.
 CharacterId = str
@@ -133,10 +128,11 @@ def _add_edge(graph, a: CharacterId, b: CharacterId, seconds) -> Pair | None:
     unchanged; every other edge, error and merge comes through here, its slow
     path.  Returns the pair if it already had an edge, now merged, else None."""
     if a == b:
-        raise SelfLoopError(f"self-loop on {a!r}")
-    # an int past the largest float would not convert; nan fails both compares
-    if not isinstance(seconds, (int, float)) or not 0 < seconds <= _FLOAT_MAX:
-        raise NonPositiveWeightError(
+        raise InvariantError(f"self-loop on {a!r}")
+    # bool is an int subtype but no weight; an int past the largest float
+    # would not convert; nan fails both compares
+    if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) or not 0 < seconds <= _FLOAT_MAX:
+        raise InvariantError(
             f"edge {a!r}-{b!r} needs a positive finite weight, got {seconds!r}"
         )
     pair = canonical_pair(a, b)
@@ -148,7 +144,7 @@ def _add_edge(graph, a: CharacterId, b: CharacterId, seconds) -> Pair | None:
         return None
     total = old + seconds
     if total == math.inf:
-        raise NonPositiveWeightError(f"edge {a!r}-{b!r}: merged weights sum past the float range")
+        raise InvariantError(f"edge {a!r}-{b!r}: merged weights sum past the float range")
     graph.edges[pair] = total
     return pair
 
@@ -161,7 +157,7 @@ def aggregate_segments(segments: list[SegmentGraph], key: EpisodeKey) -> Episode
     the float sums are reproducible run to run.
     """
     if not segments:
-        raise EmptyEpisodeError(f"episode {key} has no segments")
+        raise InvariantError(f"episode {key} has no segments")
     episode = EpisodeGraph(key=key, segment_count=len(segments))
     edges = episode.edges
     get = edges.get
@@ -171,5 +167,5 @@ def aggregate_segments(segments: list[SegmentGraph], key: EpisodeKey) -> Episode
             edges[pair] = get(pair, 0.0) + weight
     for (a, b), weight in edges.items():
         if weight == math.inf:  # positive finite weights can only overflow upward
-            raise NonPositiveWeightError(f"episode {key}: weights of {a}-{b} sum past the float range")
+            raise InvariantError(f"episode {key}: weights of {a}-{b} sum past the float range")
     return episode

@@ -24,15 +24,7 @@ import math
 import re
 from pathlib import Path
 
-from .errors import (
-    DuplicateKeyError,
-    EmptyDatasetError,
-    FormatError,
-    InvariantError,
-    NonPositiveWeightError,
-    RangeError,
-    SelfLoopError,
-)
+from .errors import FormatError, InvariantError
 from .graph import (
     _FLOAT_MAX,
     EpisodeGraph,
@@ -221,7 +213,7 @@ def _read_episode(doc) -> ParsedEpisode:
                 merged = _add_edge(seg, a, b, w)
                 if merged:
                     warnings.append(f"{where}: duplicate edge {merged[0]}-{merged[1]} merged")
-        except (SelfLoopError, NonPositiveWeightError, InvariantError) as exc:
+        except InvariantError as exc:
             raise InvariantError(f"{where}: {exc}") from exc
         if not seg.edges:
             warnings.append(f"{where}: no edges")
@@ -318,12 +310,12 @@ def parse_ratings_csv(data: bytes | str) -> dict[EpisodeKey, float]:
         except ValueError as exc:
             raise FormatError(f"ratings CSV line {number}: {exc}") from exc
         if not math.isfinite(rating) or not (RATING_MIN <= rating <= RATING_MAX):
-            raise RangeError(
+            raise FormatError(
                 f"ratings CSV line {number}: rating {rating_cell} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
             )
         key = EpisodeKey(series=series_cell, season=season, episode=episode)
         if key in ratings:
-            raise DuplicateKeyError(f"ratings CSV line {number}: duplicate rating for {key}")
+            raise FormatError(f"ratings CSV line {number}: duplicate rating for {key}")
         ratings[key] = rating
     return ratings
 
@@ -341,16 +333,14 @@ def load_dataset(
     """
     paths = [Path(p) for p in segment_files]
     if not paths:
-        raise EmptyDatasetError("no episode files found")
+        raise FormatError("no episode files found")
 
     kept: dict[EpisodeKey, EpisodeGraph] = {}
     for path in paths:
         try:
             episode = parse_segment_file(path.read_bytes())
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-        except InvariantError as exc:
-            raise InvariantError(f"{path}: {exc}") from exc
+        except (FormatError, InvariantError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         graph = kept.get(episode.key)
         if graph is None:
             graph = aggregate_segments(episode.segments, episode.key)

@@ -37,14 +37,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 
-from .errors import (
-    ConvergenceError,
-    DegenerateGraphError,
-    EmptyVectorError,
-    InvariantError,
-    NoEdgesError,
-    SelfLoopError,
-)
+from .errors import ConvergenceError, DegenerateGraphError, DomainError, InvariantError
 from .graph import CharacterId, EpisodeGraph, EpisodeKey, _Record
 
 
@@ -137,7 +130,7 @@ class _Index:
         for a, b in graph.edges:
             if not a < b:
                 if a == b:
-                    raise SelfLoopError(f"self-loop on {a!r}")
+                    raise InvariantError(f"self-loop on {a!r}")
                 raise InvariantError(f"edge {a!r}-{b!r} is not stored as a sorted pair")
             i, j = self.position[a], self.position[b]
             self.nbr[i] |= 1 << j
@@ -282,7 +275,7 @@ def efficiency_metric(graph, mode: str = "component-mean") -> float:
             for mask, members in zip(nbr, index.adj)
         ]
     else:
-        raise ValueError(f"unknown efficiency mode {mode!r}")
+        raise DomainError(f"unknown efficiency mode {mode!r}")
     return math.fsum(values) / len(values)
 
 
@@ -342,7 +335,7 @@ def eigenvector_vector(
     """
     index = _index(graph)
     if not index.nbr:
-        raise NoEdgesError("eigenvector centrality needs at least one edge")
+        raise DegenerateGraphError("eigenvector centrality needs at least one edge")
     # an active node's closed neighborhood has 2 or more members, so each getter returns a tuple
     closed = [operator.itemgetter(i, *around) for i, around in enumerate(index.adj)]
 
@@ -375,7 +368,7 @@ def eigenvector_vector(
 def summarize(scores: dict[CharacterId, float]) -> tuple[float, float]:
     """(max, population std) of one score per node; a constant vector's std is exactly 0."""
     if not scores:
-        raise EmptyVectorError("cannot summarize an empty score vector")
+        raise DegenerateGraphError("cannot summarize an empty score vector")
     values = list(scores.values())
     top = max(values)
     if min(values) == top:  # fsum(values) / n can miss the value by an ulp

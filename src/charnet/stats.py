@@ -16,13 +16,7 @@ import math
 import operator
 import random
 
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    InsufficientDataError,
-    LengthMismatchError,
-    NonFiniteError,
-)
+from .errors import DegenerateInputError, DomainError
 from .graph import EpisodeKey, _Record
 from .metrics import METRICS, EpisodeMetrics
 
@@ -76,9 +70,9 @@ def _doubled_ranks(values) -> list[int]:
     try:
         data = [float(v) for v in values]
     except OverflowError as exc:
-        raise NonFiniteError("rank input contains a value past the float range") from exc
+        raise DomainError("rank input contains a value past the float range") from exc
     if any(not math.isfinite(v) for v in data):
-        raise NonFiniteError("rank input contains a non-finite value")
+        raise DomainError("rank input contains a non-finite value")
     if not data:
         raise DegenerateInputError("cannot rank an empty list")
     n = len(data)
@@ -104,7 +98,7 @@ def _paired(x, y) -> tuple[list[int], list[int]]:
     """Check a pair of columns and return both doubled centered rank vectors:
     each doubled rank minus n + 1, twice the mean rank, as exact ints."""
     if len(x) != len(y):
-        raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
+        raise DomainError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise DegenerateInputError(f"need at least 3 pairs, got {len(x)}")
     doubled_mean = len(x) + 1
@@ -198,7 +192,6 @@ def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]
     hit in its own field's guard bit, and a popcount per batch adds the
     column's hits.
     """
-    check_permutations(iterations)
     n = len(cy)
     cube = n**3
     size = ((2 * cube).bit_length() + 8) // 8
@@ -268,15 +261,17 @@ def correlate_all(
     error so the report always carries all 12 rows.  When `permutations`
     is set, each row also gets a seeded permutation p-value cross-check.
     """
+    if permutations is not None:
+        check_permutations(permutations)
     series_names = sorted({row.key.series for row in rows})
     if len(series_names) != 1:
-        raise ValueError(f"expected rows from exactly one series, got {series_names}")
+        raise DomainError(f"expected rows from exactly one series, got {series_names}")
 
     paired = [(row, ratings.get(row.key)) for row in sorted(rows, key=lambda r: r.key)]
     usable = [(row, review) for row, review in paired if review is not None]
     n = len(usable)
     if n < 4:
-        raise InsufficientDataError(f"series {series_names[0]!r}: need at least 4 rated episodes, got {n}")
+        raise DegenerateInputError(f"series {series_names[0]!r}: need at least 4 rated episodes, got {n}")
 
     reviews = [review for _, review in usable]
     report = CorrelationReport(n=n, excluded=len(paired) - n)

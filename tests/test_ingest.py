@@ -13,15 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charnet import ingest
-from charnet.errors import (
-    CharnetError,
-    DuplicateKeyError,
-    EmptyDatasetError,
-    FormatError,
-    InvariantError,
-    NonPositiveWeightError,
-    RangeError,
-)
+from charnet.errors import CharnetError, FormatError, InvariantError
 from charnet.graph import EpisodeKey, SegmentGraph, add_interaction, canonical_pair, normalize_character
 from charnet.ingest import (
     load_dataset,
@@ -493,7 +485,7 @@ def _reference_parse(segments):
             merged = pair in seg.edges
             try:
                 add_interaction(seg, a, b, w)
-            except NonPositiveWeightError as exc:
+            except InvariantError as exc:
                 raise InvariantError(f"{where}: {exc}") from exc
             if merged:
                 warnings.append(f"{where}: duplicate edge {pair[0]}-{pair[1]} merged")
@@ -564,7 +556,7 @@ class TestParseRatingsCsv:
     @pytest.mark.parametrize("rating", ["10.5", "0.9", "-3", "nan", "inf"])
     def test_rating_bounds(self, rating):
         base = "series,season,episode,rating\ngot,1,1,{}\n"
-        with pytest.raises((RangeError, FormatError)):
+        with pytest.raises(FormatError, match=f"^ratings CSV line 2: rating {rating} outside \\[1, 10\\]$"):
             parse_ratings_csv(base.format(rating))
 
     def test_rating_bounds_inclusive(self):
@@ -575,7 +567,7 @@ class TestParseRatingsCsv:
         assert table.get(EpisodeKey("a", 1, 2)) == 10.0
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(DuplicateKeyError):
+        with pytest.raises(FormatError, match="^ratings CSV line 3: duplicate rating for got 1 1$"):
             parse_ratings_csv(
                 "series,season,episode,rating\ngot,1,1,8.0\ngot,1,1,9.0\n"
             )
@@ -776,7 +768,7 @@ class TestLoadDataset:
     def test_empty_dataset_rejected(self, tmp_path):
         ratings = tmp_path / "ratings.csv"
         ratings.write_text("series,season,episode,rating\n", encoding="utf-8")
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(FormatError, match="^no episode files found$"):
             load_dataset([], ratings)
 
     def test_parse_error_names_file(self, tmp_path):

@@ -14,14 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charnet import metrics
-from charnet.errors import (
-    ConvergenceError,
-    DegenerateGraphError,
-    EmptyVectorError,
-    InvariantError,
-    NoEdgesError,
-    SelfLoopError,
-)
+from charnet.errors import ConvergenceError, DegenerateGraphError, DomainError, InvariantError
 from charnet.graph import EpisodeGraph, EpisodeKey, add_interaction, canonical_pair
 from charnet.metrics import (
     EFFICIENCY_MODES,
@@ -174,7 +167,7 @@ class TestEfficiencyMetric:
             efficiency_metric(graph_from({}, extra_nodes=["A", "B"]), mode="neighborhood")
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="^unknown efficiency mode 'global'$"):
             efficiency_metric(graph_from(TRIANGLE), mode="global")
 
     def test_matches_brute_oracle(self):
@@ -286,7 +279,7 @@ class TestEigenvector:
         assert light == heavy
 
     def test_no_edges(self):
-        with pytest.raises(NoEdgesError):
+        with pytest.raises(DegenerateGraphError, match="^eigenvector centrality needs at least one edge$"):
             eigenvector_vector(graph_from({}, extra_nodes=["A"]))
 
     def test_iteration_cap(self):
@@ -364,7 +357,7 @@ class TestSummarize:
         assert summarize({"a": 2.5}) == (2.5, 0.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyVectorError):
+        with pytest.raises(DegenerateGraphError, match="^cannot summarize an empty score vector$"):
             summarize({})
 
 
@@ -456,7 +449,7 @@ class TestSelfLoop:
     @pytest.mark.parametrize("edges", GRAPHS)
     @pytest.mark.parametrize("mode", EFFICIENCY_MODES)
     def test_row_raises(self, edges, mode):
-        with pytest.raises(SelfLoopError, match="self-loop on 'A'"):
+        with pytest.raises(InvariantError, match="^self-loop on 'A'$"):
             compute_episode_metrics(self._looped(edges), MetricsConfig(efficiency_mode=mode))
 
     FUNCTIONS = [
@@ -476,7 +469,7 @@ class TestSelfLoop:
     @pytest.mark.parametrize("edges", GRAPHS)
     @pytest.mark.parametrize("function", FUNCTIONS)
     def test_every_metric_function_raises(self, edges, function):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(InvariantError, match="^self-loop on 'A'$"):
             function(self._looped(edges))
 
 

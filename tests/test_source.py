@@ -4,18 +4,25 @@ from __future__ import annotations
 
 import ast
 
+from charnet import errors
+
 from support import REPO_ROOT
+
+
+def _library_trees() -> list[tuple]:
+    """(path, parsed module) of each of the library's modules."""
+    sources = sorted((REPO_ROOT / "src" / "charnet").glob("*.py"))
+    assert sources
+    return [(path, ast.parse(path.read_text(encoding="utf-8"), str(path))) for path in sources]
 
 
 def _library_nodes(kind, keep=lambda path, node: True) -> list[str]:
     """`file:line` of every `kind` node in the library's modules that
     keep(path, node) accepts."""
-    sources = sorted((REPO_ROOT / "src" / "charnet").glob("*.py"))
-    assert sources
     return [
         f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for path, tree in _library_trees()
+        for node in ast.walk(tree)
         if isinstance(node, kind) and keep(path, node)
     ]
 
@@ -43,3 +50,51 @@ def test_only_the_cli_catches_charnet_error():
     # class into an exit code, and a module that lives with one failure
     # names the subclass it expects
     assert _library_nodes(ast.ExceptHandler, _catches_charnet_error) == []
+
+
+def _raised_classes() -> list[tuple[str, str]]:
+    """(`file:line`, class name) for each class a raise statement in the
+    library can raise.  `raise type(exc)(...)` inside `except (A, B) as
+    exc` raises A or B; any other form is given as its source text."""
+    raised = []
+    for path, tree in _library_trees():
+        handler_of = {}  # ast.walk is breadth-first, so an inner handler wins
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler):
+                handler_of.update((node, handler) for node in ast.walk(handler) if isinstance(node, ast.Raise))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            handler = handler_of.get(node)
+            if isinstance(target, ast.Name):
+                raised.append((where, target.id))
+            elif handler and isinstance(target, ast.Call) and ast.unparse(target) == f"type({handler.name})":
+                caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                raised.extend((where, ast.unparse(name)) for name in caught)
+            else:
+                raised.append((where, ast.unparse(node)))
+    return raised
+
+
+CHARNET_ERRORS = {
+    name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, errors.CharnetError)
+}
+
+
+def test_every_raise_is_a_charnet_error():
+    # the CLI turns a CharnetError into exit code 2 and anything else into
+    # exit code 3, a bug; EpisodeMetrics copies Python's own TypeError for
+    # an unknown keyword
+    assert [
+        (where, name)
+        for where, name in _raised_classes()
+        if name not in CHARNET_ERRORS and not (where.startswith("metrics.py:") and name == "TypeError")
+    ] == []
+
+
+def test_every_error_class_is_raised():
+    # a class nothing raises is a name no caller can tell apart; the base
+    # class is only caught
+    assert CHARNET_ERRORS - {name for _, name in _raised_classes()} == {"CharnetError"}

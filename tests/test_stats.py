@@ -11,13 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charnet import report, stats
-from charnet.errors import (
-    DegenerateInputError,
-    DomainError,
-    InsufficientDataError,
-    LengthMismatchError,
-    NonFiniteError,
-)
+from charnet.errors import DegenerateInputError, DomainError
 from charnet.graph import EpisodeKey
 from charnet.metrics import METRICS, EpisodeMetrics
 from charnet.report import render_correlations_csv
@@ -68,9 +62,9 @@ class TestRankWithTies:
         assert rank_with_ties([7.0, 7.0, 7.0]) == [2.0, 2.0, 2.0]
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(DomainError, match="^rank input contains a non-finite value$"):
             rank_with_ties([1.0, math.nan])
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(DomainError, match="^rank input contains a non-finite value$"):
             rank_with_ties([1.0, math.inf])
 
     def test_empty_rejected(self):
@@ -78,9 +72,9 @@ class TestRankWithTies:
             rank_with_ties([])
 
     def test_int_past_float_range_rejected(self):
-        with pytest.raises(NonFiniteError, match="past the float range"):
+        with pytest.raises(DomainError, match="^rank input contains a value past the float range$"):
             rank_with_ties([10**400, 1, 2])
-        with pytest.raises(NonFiniteError, match="past the float range"):
+        with pytest.raises(DomainError, match="^rank input contains a value past the float range$"):
             spearman_rho([10**400, 1, 2, 3], [1, 2, 3, 4])
 
     @settings(max_examples=150, deadline=None)
@@ -118,7 +112,7 @@ class TestSpearmanRho:
         assert spearman_rho(x, y) == pytest.approx(spearman_rho(y, x), abs=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DomainError, match="^length mismatch: 3 vs 2$"):
             spearman_rho([1, 2, 3], [1, 2])
 
     def test_too_short(self):
@@ -611,13 +605,19 @@ class TestCorrelateAll:
         with pytest.raises(DomainError):
             correlate_all(_demo_rows(), _demo_ratings(), permutations=999)
 
+    def test_permutation_floor_applies_when_no_row_is_tested(self):
+        # constant reviews flag every row, so no column reaches the permutation test
+        ratings = {key: 7.5 for key in _demo_ratings()}
+        with pytest.raises(DomainError, match="^permutation test needs >= 1000 iterations, got 5$"):
+            correlate_all(_demo_rows(), ratings, permutations=5)
+
     def test_mixed_series_rejected(self):
         rows = _demo_rows()
         rows.append(EpisodeMetrics(key=EpisodeKey("other", 1, 1)))
-        with pytest.raises(ValueError, match="one series"):
+        with pytest.raises(DomainError, match="^expected rows from exactly one series, got \\['demo', 'other'\\]$"):
             correlate_all(rows, _demo_ratings())
 
     def test_insufficient_rated_episodes(self):
         rows = _demo_rows()[:3]
-        with pytest.raises(InsufficientDataError, match="series 'demo': need at least 4 rated episodes, got 3"):
+        with pytest.raises(DegenerateInputError, match="^series 'demo': need at least 4 rated episodes, got 3$"):
             correlate_all(rows, _demo_ratings())

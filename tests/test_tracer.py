@@ -34,12 +34,12 @@ def test_every_traced_name_exists():
 
 
 def test_traced_load_parses_and_aggregates_each_file_once(tmp_path, monkeypatch):
+    segments_dir, ratings_csv = build_demo_dataset(tmp_path)  # before wrapping: count only the run
     tracer_module = load_tracer()
     tracer = tracer_module.Tracer("test")
     for module, attr, name, count in tracer_module.TRACED:
         monkeypatch.setattr(module, attr, getattr(module, attr))  # restored after the test
         tracer.wrap(module, attr, name, count)
-    segments_dir, ratings_csv = build_demo_dataset(tmp_path)
     files = sorted(segments_dir.glob("*.json"))
 
     episodes, _, _ = cli.load_dataset(files, ratings_csv)
@@ -54,12 +54,12 @@ def test_traced_load_parses_and_aggregates_each_file_once(tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("mode", ["component-mean", "neighborhood"])
 def test_traced_metrics_time_each_topology_metric_per_episode(tmp_path, monkeypatch, mode):
+    segments_dir, ratings_csv = build_demo_dataset(tmp_path)  # before wrapping: count only the run
     tracer_module = load_tracer()
     tracer = tracer_module.Tracer("test")
     for module, attr, name, count in tracer_module.TRACED:
         monkeypatch.setattr(module, attr, getattr(module, attr))  # restored after the test
         tracer.wrap(module, attr, name, count)
-    segments_dir, ratings_csv = build_demo_dataset(tmp_path)
     argv = ["metrics", "--segments", str(segments_dir), "--ratings", str(ratings_csv)]
 
     assert cli.main([*argv, "--out", str(tmp_path / "out"), "--efficiency", mode]) == 0
