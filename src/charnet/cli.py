@@ -22,14 +22,7 @@ from .metrics import (
     MetricsConfig,
     compute_episode_metrics,
 )
-from .report import (
-    render_correlations_csv,
-    render_correlations_markdown,
-    render_manifest,
-    render_metrics_csv,
-    render_metrics_markdown,
-    render_scatter_svg,
-)
+from .report import render_correlations, render_manifest, render_metrics, render_scatter_svg
 from .stats import check_permutations, correlate_all
 
 KNOWN_FORMATS = ("csv", "md", "svg")
@@ -142,16 +135,14 @@ def _run(args: argparse.Namespace) -> int:
     echo = _echo_lines(args)
     tables = [f for f in ("csv", "md") if f in formats]
     if everything or args.command == "metrics":
-        render = {"csv": render_metrics_csv, "md": render_metrics_markdown}
         for series, rows in rows_by_series.items():
             for fmt in tables:
-                _write(args.out / f"{series}_metrics.{fmt}", render[fmt](rows, ratings, echo))
-    render = {"csv": render_correlations_csv, "md": render_correlations_markdown}
+                _write(args.out / f"{series}_metrics.{fmt}", render_metrics(rows, ratings, echo, fmt))
     for series, report in reports.items():
         dropped = sum(graph.duplicates_dropped for graph in graphs_by_series[series])
         notes = [f"duplicate episodes dropped at load: {dropped}", *echo]
         for fmt in tables:
-            _write(args.out / f"{series}_correlations.{fmt}", render[fmt](report, notes))
+            _write(args.out / f"{series}_correlations.{fmt}", render_correlations(report, notes, fmt))
     # a plot is an SVG whatever --format says
     for series, column in plots:
         points = [

@@ -121,6 +121,14 @@ def add_interaction(graph, a: CharacterId, b: CharacterId, seconds: float):
     return graph
 
 
+def _check_weight(a: CharacterId, b: CharacterId, weight) -> None:
+    """The weight rule of every edge: a positive finite int or float."""
+    # bool is an int subtype but no weight; an int past the largest float
+    # would not convert; nan fails both compares
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0 < weight <= _FLOAT_MAX:
+        raise InvariantError(f"edge {a!r}-{b!r} needs a positive finite weight, got {weight!r}")
+
+
 def _add_edge(graph, a: CharacterId, b: CharacterId, seconds) -> Pair | None:
     """Add an edge between normalized names: the one home of the edge rules
     (no self-loops; weights and their sums positive finite floats).  ingest's
@@ -129,12 +137,7 @@ def _add_edge(graph, a: CharacterId, b: CharacterId, seconds) -> Pair | None:
     path.  Returns the pair if it already had an edge, now merged, else None."""
     if a == b:
         raise InvariantError(f"self-loop on {a!r}")
-    # bool is an int subtype but no weight; an int past the largest float
-    # would not convert; nan fails both compares
-    if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) or not 0 < seconds <= _FLOAT_MAX:
-        raise InvariantError(
-            f"edge {a!r}-{b!r} needs a positive finite weight, got {seconds!r}"
-        )
+    _check_weight(a, b, seconds)
     pair = canonical_pair(a, b)
     graph.nodes.add(a)
     graph.nodes.add(b)

@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from .errors import ConvergenceError, DegenerateGraphError, DomainError, InvariantError
-from .graph import CharacterId, EpisodeGraph, EpisodeKey, _Record
+from .graph import CharacterId, EpisodeGraph, EpisodeKey, _check_weight, _Record
 
 
 MetricsConfig = namedtuple(
@@ -102,9 +102,12 @@ def density(graph) -> float:
 
 
 def node_strengths(graph) -> dict[CharacterId, float]:
-    """Total conversation seconds per active node (sum of incident weights)."""
+    """Total conversation seconds per active node (sum of incident weights).
+    A weight that is not a positive finite number, which only a hand-built
+    graph can hold, is refused."""
     incident: dict[CharacterId, list[float]] = {}
     for pair, weight in _index(graph).edges.items():
+        _check_weight(*pair, weight)
         for v in pair:
             incident.setdefault(v, []).append(weight)
     return {v: math.fsum(weights) for v, weights in incident.items()}

@@ -9,6 +9,7 @@ settings can never be byte-identical.
 
 from __future__ import annotations
 
+from .errors import DomainError
 from .graph import EpisodeGraph, EpisodeKey
 from .metrics import METRICS, EpisodeMetrics
 from .stats import CorrelationReport, significance_stars
@@ -58,18 +59,20 @@ def _markdown(header: list[str], rows: list[list[str]], notes: list[str]) -> str
     return "\n".join(lines) + "\n"
 
 
-def render_metrics_csv(
-    rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float], echo: list[str]
-) -> str:
-    """One CSV row per episode, fixed column order, 3-decimal reals."""
-    return _csv(METRICS_CSV_HEADER, _metric_rows(rows, ratings), echo)
+_WRITERS = {"csv": _csv, "md": _markdown}
 
 
-def render_metrics_markdown(
-    rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float], echo: list[str]
+def _writer(fmt: str):
+    if fmt not in _WRITERS:
+        raise DomainError(f"unknown table format {fmt!r}; choose csv or md")
+    return _WRITERS[fmt]
+
+
+def render_metrics(
+    rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float], echo: list[str], fmt: str
 ) -> str:
-    """Pipe-table mirror of the metrics CSV."""
-    return _markdown(METRICS_CSV_HEADER, _metric_rows(rows, ratings), echo)
+    """One row per episode, fixed column order, 3-decimal reals; fmt is "csv" or "md"."""
+    return _writer(fmt)(METRICS_CSV_HEADER, _metric_rows(rows, ratings), echo)
 
 
 def _correlation_cells(report: CorrelationReport) -> list[list[str]]:
@@ -93,14 +96,10 @@ def _correlation_footer(report: CorrelationReport, notes: list[str]) -> list[str
     return lines
 
 
-def render_correlations_csv(report: CorrelationReport, notes: list[str]) -> str:
-    """One row per metric column; footer lines carry the sample, the notes and the stars."""
-    return _csv(CORRELATIONS_HEADER, _correlation_cells(report), _correlation_footer(report, notes))
-
-
-def render_correlations_markdown(report: CorrelationReport, notes: list[str]) -> str:
-    """Pipe-table mirror of the correlations CSV."""
-    return _markdown(CORRELATIONS_HEADER, _correlation_cells(report), _correlation_footer(report, notes))
+def render_correlations(report: CorrelationReport, notes: list[str], fmt: str) -> str:
+    """One row per metric column; footer lines carry the sample, the notes and
+    the stars.  fmt is "csv" or "md"."""
+    return _writer(fmt)(CORRELATIONS_HEADER, _correlation_cells(report), _correlation_footer(report, notes))
 
 
 def _axis_range(values: list[float]) -> tuple[int, int, int]:
@@ -140,6 +139,23 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _line(x1: float, y1: float, x2: float, y2: float) -> str:
+    return (
+        f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"'
+        ' stroke="#333333" stroke-width="1"/>'
+    )
+
+
+def _text(x, y, anchor: str, size: int, body: str, transform: str = "") -> str:
+    """A text element: number coordinates get two decimals, str ones are kept; body is escaped."""
+    x, y = (v if isinstance(v, str) else f"{v:.2f}" for v in (x, y))
+    extra = f' transform="{transform}"' if transform else ""
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif"'
+        f' font-size="{size}"{extra}>{_xml_text(body)}</text>'
+    )
+
+
 def render_scatter_svg(
     points: list[tuple[float, float]],
     metric_label: str,
@@ -155,58 +171,28 @@ def render_scatter_svg(
     x_range = _axis_range([x for x, _ in points])
     y_range = _axis_range([y for _, y in points])
 
-    def sx(x: float) -> float:
-        return left + _share(x, x_range) * plot_w
-
-    def sy(y: float) -> float:
-        return top + (1 - _share(y, y_range)) * plot_h
-
-    title = _xml_text(f"{metric_label} vs Review for {series_label}")
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}"'
         f' width="{SVG_WIDTH}" height="{SVG_HEIGHT}">',
         f"<!-- {'; '.join(echo)} -->",
         f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{SVG_WIDTH / 2:.2f}" y="30" text-anchor="middle"'
-        f' font-family="sans-serif" font-size="18">{title}</text>',
-        f'<line x1="{left:.2f}" y1="{top + plot_h:.2f}" x2="{left + plot_w:.2f}"'
-        f' y2="{top + plot_h:.2f}" stroke="#333333" stroke-width="1"/>',
-        f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}"'
-        f' y2="{top + plot_h:.2f}" stroke="#333333" stroke-width="1"/>',
+        _text(SVG_WIDTH / 2, "30", "middle", 18, f"{metric_label} vs Review for {series_label}"),
+        _line(left, top + plot_h, left + plot_w, top + plot_h),
+        _line(left, top, left, top + plot_h),
     ]
     for i in range(5):
         px = left + i / 4 * plot_w
-        lines.append(
-            f'<line x1="{px:.2f}" y1="{top + plot_h:.2f}" x2="{px:.2f}"'
-            f' y2="{top + plot_h + 6:.2f}" stroke="#333333" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{px:.2f}" y="{top + plot_h + 22:.2f}" text-anchor="middle"'
-            f' font-family="sans-serif" font-size="12">{_tick_label(x_range, i)}</text>'
-        )
+        lines.append(_line(px, top + plot_h, px, top + plot_h + 6))
+        lines.append(_text(px, top + plot_h + 22, "middle", 12, _tick_label(x_range, i)))
         py = top + (1 - i / 4) * plot_h
-        lines.append(
-            f'<line x1="{left - 6:.2f}" y1="{py:.2f}" x2="{left:.2f}"'
-            f' y2="{py:.2f}" stroke="#333333" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{left - 10:.2f}" y="{py + 4:.2f}" text-anchor="end"'
-            f' font-family="sans-serif" font-size="12">{_tick_label(y_range, i)}</text>'
-        )
-    lines.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{SVG_HEIGHT - 18:.2f}" text-anchor="middle"'
-        f' font-family="sans-serif" font-size="14">{_xml_text(metric_label)}</text>'
-    )
-    lines.append(
-        f'<text x="22" y="{top + plot_h / 2:.2f}" text-anchor="middle"'
-        f' font-family="sans-serif" font-size="14"'
-        f' transform="rotate(-90 22 {top + plot_h / 2:.2f})">Review</text>'
-    )
+        lines.append(_line(left - 6, py, left, py))
+        lines.append(_text(left - 10, py + 4, "end", 12, _tick_label(y_range, i)))
+    lines.append(_text(left + plot_w / 2, SVG_HEIGHT - 18, "middle", 14, metric_label))
+    middle = top + plot_h / 2
+    lines.append(_text("22", middle, "middle", 14, "Review", f"rotate(-90 22 {middle:.2f})"))
     for x, y in points:
-        lines.append(
-            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="4" fill="#1f6fb2"'
-            f' fill-opacity="0.8"/>'
-        )
+        cx, cy = left + _share(x, x_range) * plot_w, top + (1 - _share(y, y_range)) * plot_h
+        lines.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="#1f6fb2" fill-opacity="0.8"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -27,7 +27,7 @@ from charnet.metrics import (
     harmonic_vector,
     transitivity,
 )
-from charnet.report import render_correlations_csv
+from charnet.report import render_correlations
 from charnet.stats import (
     correlate_all,
     permutation_pvalue,
@@ -113,7 +113,7 @@ def test_criterion_2_reference_correlation_tables():
         assert report.n == expected_n[series]
         by_label = {r.metric_name: r for r in report.results}
         # the Stars cell of each rendered row, by metric label
-        table = render_correlations_csv(report, []).splitlines()[1 : 1 + len(report.results)]
+        table = render_correlations(report, [], "csv").splitlines()[1 : 1 + len(report.results)]
         stars = {cells[0]: cells[3] for cells in (line.split(",") for line in table)}
         for attr in REFERENCE_COLUMNS:
             rho_ref, p_ref, stars_ref = reference[(series, attr)]

@@ -493,6 +493,24 @@ class TestUnsortedPair:
             function(TestSelfLoop._looped(edges))
 
 
+class TestBadWeight:
+    """Only a hand-built graph can hold a weight that is not a positive finite
+    number; strength, the one metric that reads weights, refuses it with the
+    message add_interaction gives."""
+
+    @pytest.mark.parametrize("weight", [-5.0, 0.0, math.nan, math.inf, True])
+    def test_strength_and_row_raise(self, weight):
+        with pytest.raises(InvariantError) as refused:
+            add_interaction(EpisodeGraph(key=KEY), "A", "B", weight)
+        message = f"edge 'A'-'B' needs a positive finite weight, got {weight!r}"
+        assert str(refused.value) == message
+        graph = TestSelfLoop._looped({("A", "B"): weight, ("B", "C"): 2.0})
+        for compute in (node_strengths, compute_episode_metrics):
+            with pytest.raises(InvariantError) as refused:
+                compute(graph)
+            assert str(refused.value) == message
+
+
 class TestSharedIndex:
     """compute_episode_metrics builds one index per row and passes it to the
     public functions it calls; the graph itself is never indexed again."""

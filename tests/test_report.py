@@ -7,16 +7,15 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
 import pytest
 
+from charnet.errors import DomainError
 from charnet.graph import EpisodeGraph, EpisodeKey
 from charnet.metrics import EpisodeMetrics
 from charnet.report import (
     METRICS_CSV_HEADER,
     fmt_real,
-    render_correlations_csv,
-    render_correlations_markdown,
+    render_correlations,
     render_manifest,
-    render_metrics_csv,
-    render_metrics_markdown,
+    render_metrics,
     render_scatter_svg,
 )
 from charnet.stats import CorrelationReport, CorrelationResult
@@ -84,7 +83,7 @@ def _ratings() -> dict[EpisodeKey, float]:
 
 class TestMetricsCsv:
     def test_layout(self):
-        text = render_metrics_csv(_rows(), _ratings(), ECHO)
+        text = render_metrics(_rows(), _ratings(), ECHO, "csv")
         lines = text.splitlines()
         assert lines[0] == ",".join(METRICS_CSV_HEADER)
         # rows come out in key order even when passed shuffled
@@ -101,11 +100,11 @@ class TestMetricsCsv:
             EpisodeMetrics(key=EpisodeKey("s", 2, 1), density=0.1),
             EpisodeMetrics(key=EpisodeKey("s", 1, 3), density=0.3),
         ]
-        lines = render_metrics_csv(rows, {}, []).splitlines()
+        lines = render_metrics(rows, {}, [], "csv").splitlines()
         assert [line.split(",")[:3] for line in lines[1:]] == [["1", "", "0.300"], ["2", "", "0.100"]]
 
     def test_three_decimal_reals_and_bare_integers(self):
-        text = render_metrics_csv(_rows(), _ratings(), [])
+        text = render_metrics(_rows(), _ratings(), [], "csv")
         row2 = text.splitlines()[2].split(",")
         assert row2[2] == "0.500"
         assert row2[5] == "12.346"  # rounded, not truncated
@@ -114,22 +113,22 @@ class TestMetricsCsv:
         assert row2[header.index("Active_Nodes")] == "4"
 
     def test_deterministic_bytes(self):
-        first = render_metrics_csv(_rows(), _ratings(), ECHO)
-        second = render_metrics_csv(_rows(), _ratings(), ECHO)
+        first = render_metrics(_rows(), _ratings(), ECHO, "csv")
+        second = render_metrics(_rows(), _ratings(), ECHO, "csv")
         assert first == second
 
     def test_echo_changes_bytes(self):
-        base = render_metrics_csv(_rows(), _ratings(), ECHO)
-        other = render_metrics_csv(
-            _rows(), _ratings(), ["efficiency mode: neighborhood"]
+        base = render_metrics(_rows(), _ratings(), ECHO, "csv")
+        other = render_metrics(
+            _rows(), _ratings(), ["efficiency mode: neighborhood"], "csv"
         )
         assert base != other
 
 
 class TestMetricsMarkdown:
     def test_mirrors_csv_cells(self):
-        csv_text = render_metrics_csv(_rows(), _ratings(), [])
-        md_text = render_metrics_markdown(_rows(), _ratings(), [])
+        csv_text = render_metrics(_rows(), _ratings(), [], "csv")
+        md_text = render_metrics(_rows(), _ratings(), [], "md")
         csv_cells = [line.split(",") for line in csv_text.splitlines()[1:3]]
         md_rows = [
             [cell.strip() for cell in line.strip("|").split("|")]
@@ -138,7 +137,7 @@ class TestMetricsMarkdown:
         assert md_rows == csv_cells
 
     def test_pipe_table_shape(self):
-        md_text = render_metrics_markdown(_rows(), _ratings(), ECHO)
+        md_text = render_metrics(_rows(), _ratings(), ECHO, "md")
         lines = md_text.splitlines()
         assert lines[0].startswith("| Episode | Review |")
         assert set(lines[1].strip("|")) == {"-", "|"}
@@ -168,18 +167,18 @@ NOTES = ["duplicate episodes dropped at load: 2", *ECHO]
 
 class TestCorrelationsCsv:
     def test_header_and_rows(self):
-        lines = render_correlations_csv(_report(), NOTES).splitlines()
+        lines = render_correlations(_report(), NOTES, "csv").splitlines()
         assert lines[0] == "Metric,Correlation,pValue,Stars"
         assert lines[1] == "Density,0.418,0.034,*"
         assert lines[2] == "Active Nodes,,,"
 
     def test_stars_follow_the_p_value(self):
         results = [CorrelationResult("Density", 0.1, 0.9), CorrelationResult("Efficiency", 0.7, 0.005)]
-        lines = render_correlations_csv(CorrelationReport(results=results, n=26), []).splitlines()
+        lines = render_correlations(CorrelationReport(results=results, n=26), [], "csv").splitlines()
         assert lines[1:3] == ["Density,0.100,0.900,", "Efficiency,0.700,0.005,**"]
 
     def test_footer_fields(self):
-        lines = render_correlations_csv(_report(with_permutation=True), NOTES).splitlines()
+        lines = render_correlations(_report(with_permutation=True), NOTES, "csv").splitlines()
         assert lines[3:] == [
             "# n: 26",
             "# excluded (no rating): 1",
@@ -192,17 +191,27 @@ class TestCorrelationsCsv:
         ]
 
     def test_permutation_lines_only_when_present(self):
-        without = render_correlations_csv(_report(), [])
+        without = render_correlations(_report(), [], "csv")
         assert "permutation pValue" not in without
-        with_perm = render_correlations_csv(_report(with_permutation=True), [])
+        with_perm = render_correlations(_report(with_permutation=True), [], "csv")
         assert "# permutation pValue Density: 0.034" in with_perm
 
     def test_markdown_mirrors_cells(self):
-        md = render_correlations_markdown(_report(), NOTES)
+        md = render_correlations(_report(), NOTES, "md")
         assert "| Density | 0.418 | 0.034 | * |" in md
         assert "| Active Nodes |  |  |  |" in md
-        csv_footer = render_correlations_csv(_report(), NOTES).splitlines()[3:]
+        csv_footer = render_correlations(_report(), NOTES, "csv").splitlines()[3:]
         assert md.splitlines()[5:] == [f"_{line[2:]}_" for line in csv_footer]
+
+
+@pytest.mark.parametrize("fmt", ["svg", "markdown", "CSV", ""])
+def test_table_renderers_refuse_an_unknown_format(fmt):
+    message = f"unknown table format {fmt!r}; choose csv or md"
+    with pytest.raises(DomainError) as metrics_refused:
+        render_metrics(_rows(), _ratings(), [], fmt)
+    with pytest.raises(DomainError) as correlations_refused:
+        render_correlations(_report(), [], fmt)
+    assert str(metrics_refused.value) == str(correlations_refused.value) == message
 
 
 POINTS = [(0.1, 7.5), (0.4, 8.2), (0.25, 6.9), (0.33, 9.1)]

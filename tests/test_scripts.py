@@ -1,8 +1,11 @@
-"""The shipped scripts run end to end as a user would start them."""
+"""The shipped scripts and README's library example run end to end as a user
+would start them."""
 
 from __future__ import annotations
 
 import shlex
+
+import pytest
 
 from charnet import cli
 from support import REPO_ROOT, run_python
@@ -51,3 +54,14 @@ def test_next_line_quotes_paths_with_spaces(tmp_path):
     ]
     assert cli.main(argv[1:]) == 0
     assert (demo / "reports" / "manifest.txt").is_file()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    density, eigen_max = map(float, printed[0].split())
+    assert (density, eigen_max) == (1.0, pytest.approx(0.5**0.5))
+    assert printed[1].startswith("| Episode | Review | Density |")
+    assert printed[3].startswith("| 1 | 8.500 | 1.000 |")

@@ -14,7 +14,7 @@ from charnet import report, stats
 from charnet.errors import DegenerateInputError, DomainError
 from charnet.graph import EpisodeKey
 from charnet.metrics import METRICS, EpisodeMetrics
-from charnet.report import render_correlations_csv
+from charnet.report import render_correlations
 from charnet.stats import (
     correlate_all,
     permutation_pvalue,
@@ -530,7 +530,7 @@ class TestCorrelateAll:
         flagged = next(r for r in report.results if r.metric_name == "Active Nodes")
         assert flagged.rho is None
         assert flagged.p_value is None
-        assert "\nActive Nodes,,,\n" in render_correlations_csv(report, [])
+        assert "\nActive Nodes,,,\n" in render_correlations(report, [], "csv")
         assert "constant" in flagged.note
 
     def test_unrated_episodes_excluded_and_counted(self):
