@@ -24,7 +24,8 @@ class FormatError(CharnetError):
 class InvariantError(CharnetError):
     """Well-formed input breaks a graph rule: an empty name, a self-loop, a
     weight or weight sum that is not a positive finite float, a pair out of
-    sorted order, an episode without segments."""
+    sorted order, an edge endpoint missing from the nodes, an episode
+    without segments."""
 
 
 class DomainError(CharnetError):

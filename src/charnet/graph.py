@@ -121,8 +121,10 @@ def add_interaction(graph, a: CharacterId, b: CharacterId, seconds: float):
     return graph
 
 
-def _check_weight(a: CharacterId, b: CharacterId, weight) -> None:
-    """The weight rule of every edge: a positive finite int or float."""
+def _check_edge(a: CharacterId, b: CharacterId, weight) -> None:
+    """The edge rule, stated once: no self-loop, a positive finite weight."""
+    if a == b:
+        raise InvariantError(f"self-loop on {a!r}")
     # bool is an int subtype but no weight; an int past the largest float
     # would not convert; nan fails both compares
     if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0 < weight <= _FLOAT_MAX:
@@ -130,14 +132,11 @@ def _check_weight(a: CharacterId, b: CharacterId, weight) -> None:
 
 
 def _add_edge(graph, a: CharacterId, b: CharacterId, seconds) -> Pair | None:
-    """Add an edge between normalized names: the one home of the edge rules
-    (no self-loops; weights and their sums positive finite floats).  ingest's
-    parse loop stores inline only a new pair that these rules would store
-    unchanged; every other edge, error and merge comes through here, its slow
-    path.  Returns the pair if it already had an edge, now merged, else None."""
-    if a == b:
-        raise InvariantError(f"self-loop on {a!r}")
-    _check_weight(a, b, seconds)
+    """Add an edge between normalized names under _check_edge; merged sums
+    stay finite.  ingest's parse loop stores inline only a new pair that
+    these rules would store unchanged; every other edge, error and merge
+    comes through here.  Returns the pair if it was merged, else None."""
+    _check_edge(a, b, seconds)
     pair = canonical_pair(a, b)
     graph.nodes.add(a)
     graph.nodes.add(b)

@@ -26,7 +26,8 @@ histogram and grows one part at a time.  Every sum over a neighbor list is
 exact, so edge order shows in no value.  A row indexes its episode once:
 the index also carries the graph's nodes and edges, so
 compute_episode_metrics passes it to each public function in place of the
-graph, and any function given a graph indexes it afresh.
+graph, and any function given a graph indexes it afresh.  The index
+applies graph._check_edge, add_interaction's edge rule, to every edge.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from .errors import ConvergenceError, DegenerateGraphError, DomainError, InvariantError
-from .graph import CharacterId, EpisodeGraph, EpisodeKey, _check_weight, _Record
+from .graph import CharacterId, EpisodeGraph, EpisodeKey, _check_edge, _Record
 
 
 MetricsConfig = namedtuple(
@@ -102,12 +103,9 @@ def density(graph) -> float:
 
 
 def node_strengths(graph) -> dict[CharacterId, float]:
-    """Total conversation seconds per active node (sum of incident weights).
-    A weight that is not a positive finite number, which only a hand-built
-    graph can hold, is refused."""
+    """Summed incident weights (seconds) per active node; the index ran graph._check_edge on each."""
     incident: dict[CharacterId, list[float]] = {}
     for pair, weight in _index(graph).edges.items():
-        _check_weight(*pair, weight)
         for v in pair:
             incident.setdefault(v, []).append(weight)
     return {v: math.fsum(weights) for v, weights in incident.items()}
@@ -119,10 +117,10 @@ class _Index:
     set: edge to node j) and as a list of positions in edge order.  Every
     topology metric reads one; the all-sources hop histogram is computed on
     first use.  It keeps the graph's nodes and edges, so every metric
-    function accepts it in place of the graph.  A pair of one node or a
-    pair out of sorted order, which only a hand-built graph can hold, is
-    refused: the lists would hold a neighbor twice where a bitset holds it
-    once."""
+    function accepts it in place of the graph.  Each edge, in dict order,
+    must pass graph._check_edge and the index's own two rules: a sorted
+    pair (or the lists hold a neighbor twice) and endpoints in the nodes,
+    whose count global efficiency divides by."""
 
     def __init__(self, graph) -> None:
         self.nodes, self.edges = graph.nodes, graph.edges
@@ -130,11 +128,12 @@ class _Index:
         self.position = {v: i for i, v in enumerate(sorted(active))}
         self.nbr = [0] * len(self.position)
         self.adj: list[list[int]] = [[] for _ in self.nbr]
-        for a, b in graph.edges:
+        for (a, b), weight in graph.edges.items():
+            _check_edge(a, b, weight)
             if not a < b:
-                if a == b:
-                    raise InvariantError(f"self-loop on {a!r}")
                 raise InvariantError(f"edge {a!r}-{b!r} is not stored as a sorted pair")
+            if a not in self.nodes or b not in self.nodes:
+                raise InvariantError(f"edge {a!r}-{b!r} has an endpoint missing from the nodes")
             i, j = self.position[a], self.position[b]
             self.nbr[i] |= 1 << j
             self.nbr[j] |= 1 << i

@@ -1,9 +1,10 @@
 """Report bytes, stderr and exit codes pinned by sha256 digests.
 
 golden_digests.json holds, per run, the exit code, the digest of stderr
-and the digest of every file the run writes.  stdout is left out: its
-`wrote <path>` lines hold temporary paths.  There is no update switch: a
-change to any output edits the digest file in its own diff.
+and the digest of every file the run writes.  The generator run reads
+the default dataset of scripts/generate_demo_dataset.py.  stdout is left
+out: its `wrote <path>` lines hold temporary paths.  There is no update
+switch: a change to any output edits the digest file in its own diff.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from charnet.cli import main
 
-from support import build_demo_dataset, build_messy_dataset
+from support import REPO_ROOT, build_demo_dataset, build_messy_dataset, run_python
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -23,7 +24,20 @@ FLAGS = {
     "neighborhood-perm": ["--efficiency", "neighborhood", "--permutations", "2000", "--seed", "4"],
 }
 
-DATASETS = {"demo": build_demo_dataset, "messy": build_messy_dataset}
+
+def build_generated_dataset(dest: Path) -> tuple[Path, Path]:
+    """The generator script's default dataset: (segments_dir, ratings_csv)."""
+    result = run_python(str(REPO_ROOT / "scripts" / "generate_demo_dataset.py"), "--out", str(dest))
+    assert result.returncode == 0, result.stderr
+    return dest / "segments", dest / "ratings.csv"
+
+
+# dataset: (builder, names of the FLAGS sets run on it)
+DATASETS = {
+    "demo": (build_demo_dataset, list(FLAGS)),
+    "messy": (build_messy_dataset, list(FLAGS)),
+    "generator": (build_generated_dataset, ["plain"]),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -34,12 +48,12 @@ def _run_digests(tmp_path: Path, capsys) -> dict[str, dict]:
     """{run name: {"exit", "stderr", "files"}} for every dataset and flag set."""
     capsys.readouterr()
     runs = {}
-    for dataset, build in DATASETS.items():
+    for dataset, (build, flag_sets) in DATASETS.items():
         segments, ratings = build(tmp_path / dataset)
-        for flags, extra in FLAGS.items():
+        for flags in flag_sets:
             out = tmp_path / f"{dataset}-{flags}"
             argv = ["all", "--segments", str(segments), "--ratings", str(ratings), "--out", str(out)]
-            code = main([*argv, *extra])
+            code = main([*argv, *FLAGS[flags]])
             files = sorted(p for p in out.rglob("*") if p.is_file())
             runs[f"{dataset} all {flags}"] = {
                 "exit": code,

@@ -495,8 +495,8 @@ class TestUnsortedPair:
 
 class TestBadWeight:
     """Only a hand-built graph can hold a weight that is not a positive finite
-    number; strength, the one metric that reads weights, refuses it with the
-    message add_interaction gives."""
+    number; every metric function refuses it with the message
+    add_interaction gives, though only strength reads weights."""
 
     @pytest.mark.parametrize("weight", [-5.0, 0.0, math.nan, math.inf, True])
     def test_strength_and_row_raise(self, weight):
@@ -505,10 +505,22 @@ class TestBadWeight:
         message = f"edge 'A'-'B' needs a positive finite weight, got {weight!r}"
         assert str(refused.value) == message
         graph = TestSelfLoop._looped({("A", "B"): weight, ("B", "C"): 2.0})
-        for compute in (node_strengths, compute_episode_metrics):
+        for compute in (*TestSelfLoop.FUNCTIONS, compute_episode_metrics):
             with pytest.raises(InvariantError) as refused:
                 compute(graph)
-            assert str(refused.value) == message
+            assert str(refused.value) == message, compute
+
+
+class TestMissingEndpoint:
+    """Only a hand-built graph can hold an edge whose endpoint is not one of
+    its nodes; every metric function refuses it instead of counting fewer
+    nodes than it reaches, which put global efficiency above 1."""
+
+    @pytest.mark.parametrize("function", [*TestSelfLoop.FUNCTIONS, compute_episode_metrics])
+    def test_every_metric_function_raises(self, function):
+        graph = EpisodeGraph(KEY, nodes={"A", "B"}, edges={("A", "B"): 1.0, ("B", "C"): 1.0})
+        with pytest.raises(InvariantError, match="^edge 'B'-'C' has an endpoint missing from the nodes$"):
+            function(graph)
 
 
 class TestSharedIndex:

@@ -98,3 +98,17 @@ def test_every_error_class_is_raised():
     # a class nothing raises is a name no caller can tell apart; the base
     # class is only caught
     assert CHARNET_ERRORS - {name for _, name in _raised_classes()} == {"CharnetError"}
+
+
+def test_edge_rule_texts_live_in_graph_only():
+    # graph._check_edge states the edge rule once; a module that restated
+    # one of its messages would be a second copy that could drift
+    texts = ("self-loop on", "needs a positive finite weight")
+    assert [
+        (path.name, text)
+        for path, tree in _library_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for text in texts
+        if text in node.value and path.name != "graph.py"
+    ] == []
