@@ -9,23 +9,23 @@ No network access, ever; ratings come from a local CSV.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from .errors import CharnetError, DegenerateInputError, DomainError, FormatError
+from .errors import CharnetError, DegenerateInputError, FormatError
 from .graph import EpisodeGraph
 from .ingest import load_dataset
 from .metrics import (
     EFFICIENCY_MODES,
     METRIC_BY_ATTR,
     MetricsConfig,
+    check_eigen,
     compute_episode_metrics,
 )
-from .report import render_correlations, render_manifest, render_metrics, render_scatter_svg
+from .report import TABLE_FORMATS, render_correlations, render_manifest, render_metrics, render_scatter_svg
 from .stats import check_permutations, correlate_all
 
-KNOWN_FORMATS = ("csv", "md", "svg")
+KNOWN_FORMATS = (*TABLE_FORMATS, "svg")
 
 
 def _check_flags(args: argparse.Namespace) -> tuple[str, ...]:
@@ -38,14 +38,14 @@ def _check_flags(args: argparse.Namespace) -> tuple[str, ...]:
         )
     if not formats:
         raise FormatError("at least one output format is required")
-    if args.command in ("metrics", "correlate") and not {"csv", "md"} & set(formats):
-        raise FormatError(f"{args.command} writes tables only: --format needs csv or md")
-    if not (math.isfinite(args.eigen_tol) and args.eigen_tol > 0):
-        raise DomainError(f"--eigen-tol must be a finite number > 0, got {args.eigen_tol:g}")
-    if args.eigen_max_iter < 1:
-        raise DomainError(f"--eigen-max-iter must be at least 1, got {args.eigen_max_iter}")
+    if args.command in ("metrics", "correlate") and not set(TABLE_FORMATS) & set(formats):
+        raise FormatError(f"{args.command} writes tables only: --format needs {' or '.join(TABLE_FORMATS)}")
+    check_eigen(args.eigen_tol, args.eigen_max_iter)
     if args.permutations is not None:
         check_permutations(args.permutations)
+    if args.command == "plot" and args.metric not in METRIC_BY_ATTR:
+        known = ", ".join(sorted(METRIC_BY_ATTR))
+        raise FormatError(f"unknown metric {args.metric!r}; known metrics: {known}")
     return formats
 
 
@@ -96,14 +96,10 @@ def _run(args: argparse.Namespace) -> int:
         graphs_by_series.setdefault(graph.key.series, []).append(graph)
     plots = []
     if args.command == "plot":
-        column = METRIC_BY_ATTR.get(args.metric)
-        if column is None:
-            known = ", ".join(sorted(METRIC_BY_ATTR))
-            raise FormatError(f"unknown metric {args.metric!r}; known metrics: {known}")
         if args.series not in graphs_by_series:
             known = ", ".join(graphs_by_series)
             raise FormatError(f"unknown series {args.series!r}; dataset has: {known}")
-        plots = [(args.series, column)]
+        plots = [(args.series, METRIC_BY_ATTR[args.metric])]
         # plot computes, and counts the row warnings of, its own series only
         graphs_by_series = {args.series: graphs_by_series[args.series]}
     elif everything and "svg" in formats:
@@ -133,7 +129,7 @@ def _run(args: argparse.Namespace) -> int:
     if everything:
         _write(args.out / "manifest.txt", render_manifest(episodes, dataset_warnings))
     echo = _echo_lines(args)
-    tables = [f for f in ("csv", "md") if f in formats]
+    tables = [f for f in TABLE_FORMATS if f in formats]
     if everything or args.command == "metrics":
         for series, rows in rows_by_series.items():
             for fmt in tables:
@@ -201,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=0, help="permutation test seed")
         cmd.add_argument(
             "--format",
-            default="csv,md,svg",
-            help="comma-separated subset of csv,md,svg (default: all)",
+            default=",".join(KNOWN_FORMATS),
+            help=f"comma-separated subset of {','.join(KNOWN_FORMATS)} (default: all)",
         )
         if name == "plot":
             cmd.add_argument("--metric", required=True, help="metric field name, e.g. density")

@@ -31,7 +31,7 @@ class InvariantError(CharnetError):
 class DomainError(CharnetError):
     """An argument lies outside its domain: a non-finite value to rank,
     paired vectors of unequal length, an unknown efficiency mode, rows of
-    several series, a p-value's n or rho, too few permutations, a CLI
+    several series, a p-value's n or rho, too few permutations, an eigen
     setting."""
 
 

@@ -46,6 +46,7 @@ MetricsConfig = namedtuple(
     "MetricsConfig", "efficiency_mode eigen_tol eigen_max_iter", defaults=("component-mean", 1e-10, 10000)
 )
 MetricsConfig.__doc__ = "Knobs for metric computation, echoed into every report."
+_DEFAULT = MetricsConfig()
 
 # attr: EpisodeMetrics attribute, also the CLI --metric spelling; header:
 # metrics CSV column header; label: correlation-table row label; integer:
@@ -250,7 +251,7 @@ def global_efficiency(graph) -> float:
     return _efficiency(n, index.hops[1])
 
 
-def efficiency_metric(graph, mode: str = "component-mean") -> float:
+def efficiency_metric(graph, mode: str = _DEFAULT.efficiency_mode) -> float:
     """The Efficiency column.
 
     component-mean: unweighted mean of global efficiency over connected
@@ -310,8 +311,16 @@ def harmonic_vector(graph) -> dict[CharacterId, float]:
     return dict(zip(index.position, map(_reciprocal, index.hops[1])))
 
 
+def check_eigen(tol: float, max_iter: int) -> None:
+    """Refuse power-iteration settings outside the rule: tol finite and > 0, max_iter at least 1."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"eigen tol must be a finite number > 0, got {tol:g}")
+    if max_iter < 1:
+        raise DomainError(f"eigen max iterations must be at least 1, got {max_iter}")
+
+
 def eigenvector_vector(
-    graph, tol: float = 1e-10, max_iter: int = 10000
+    graph, tol: float = _DEFAULT.eigen_tol, max_iter: int = _DEFAULT.eigen_max_iter
 ) -> dict[CharacterId, float]:
     """Dominant eigenvector of the unweighted adjacency over active nodes.
 
@@ -333,8 +342,9 @@ def eigenvector_vector(
     most a few ulps of 1, about 2e-15, so a step is skipped only when the
     change passes tol by a slack of 1e-13.  The last step max_iter allows
     is always checked in full, so results and error text are those of
-    checking every step.
+    checking every step.  Settings outside check_eigen's rule raise DomainError.
     """
+    check_eigen(tol, max_iter)
     index = _index(graph)
     if not index.nbr:
         raise DegenerateGraphError("eigenvector centrality needs at least one edge")
@@ -387,10 +397,10 @@ def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = 
     Otherwise it has an edge between two distinct nodes (the index refuses
     a self-loop), so every column is defined; only a strength summary past
     the float range and an eigen iteration short of its tolerance can fail,
-    and each becomes 0 plus a warning.  The row always comes back
-    rectangular, so correlation never loses a column.
+    and each becomes 0 plus a warning (a bad setting raises DomainError).
+    The row always comes back rectangular, so correlation never loses a column.
     """
-    config = config or MetricsConfig()
+    config = config or _DEFAULT
     row = EpisodeMetrics(key=graph.key)
     index = _Index(graph)
     row.active_nodes = active_nodes(index)

@@ -60,11 +60,12 @@ def _markdown(header: list[str], rows: list[list[str]], notes: list[str]) -> str
 
 
 _WRITERS = {"csv": _csv, "md": _markdown}
+TABLE_FORMATS = tuple(_WRITERS)
 
 
 def _writer(fmt: str):
     if fmt not in _WRITERS:
-        raise DomainError(f"unknown table format {fmt!r}; choose csv or md")
+        raise DomainError(f"unknown table format {fmt!r}; choose {' or '.join(TABLE_FORMATS)}")
     return _WRITERS[fmt]
 
 

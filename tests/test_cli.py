@@ -283,23 +283,26 @@ def test_internal_error_exits_three(clean_dataset, tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize(
-    "flag, value, message",
+    "flag, value, message, command",
     [
-        ("--eigen-tol", "nan", "--eigen-tol must be a finite number > 0, got nan"),
-        ("--eigen-tol", "-1", "--eigen-tol must be a finite number > 0, got -1"),
-        ("--eigen-max-iter", "0", "--eigen-max-iter must be at least 1, got 0"),
-        ("--permutations", "5", "permutation test needs >= 1000 iterations, got 5"),
+        ("--eigen-tol", "nan", "eigen tol must be a finite number > 0, got nan", "metrics"),
+        ("--eigen-tol", "-1", "eigen tol must be a finite number > 0, got -1", "metrics"),
+        ("--eigen-max-iter", "0", "eigen max iterations must be at least 1, got 0", "metrics"),
+        ("--permutations", "5", "permutation test needs >= 1000 iterations, got 5", "metrics"),
+        # only --series waits for the data: it names one of the dataset's series
+        ("--metric", "nosuch", "unknown metric 'nosuch'; known metrics: active_nodes, ", "plot --series alpha"),
     ],
 )
 def test_invalid_numeric_flag_exits_two_before_reading(
-    clean_dataset, tmp_path, monkeypatch, capsys, flag, value, message
+    clean_dataset, tmp_path, monkeypatch, capsys, flag, value, message, command
 ):
     def refuse(*args, **kwargs):
         raise AssertionError("flags must be checked before the dataset is read")
 
     monkeypatch.setattr(cli, "load_dataset", refuse)
     out = tmp_path / "out"
-    assert run_cli("metrics", clean_dataset, out, flag, value) == 2
+    name, *extra = command.split()
+    assert run_cli(name, clean_dataset, out, *extra, flag, value) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 

@@ -286,6 +286,35 @@ class TestEigenvector:
         with pytest.raises(ConvergenceError, match="iterations"):
             eigenvector_vector(graph_from(PATH3), max_iter=1)
 
+    @pytest.mark.parametrize(
+        "tol, max_iter, message",
+        [
+            (-1.0, 10000, "eigen tol must be a finite number > 0, got -1"),
+            (0.0, 10000, "eigen tol must be a finite number > 0, got 0"),
+            (math.nan, 10000, "eigen tol must be a finite number > 0, got nan"),
+            (math.inf, 10000, "eigen tol must be a finite number > 0, got inf"),
+            (1e-10, 0, "eigen max iterations must be at least 1, got 0"),
+            (1e-10, -3, "eigen max iterations must be at least 1, got -3"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "compute, edges",
+        [
+            (eigenvector_vector, PATH3),
+            (eigenvector_vector, {}),  # the setting is reported, not the missing edge
+            (
+                lambda g, tol, max_iter: compute_episode_metrics(g, MetricsConfig("component-mean", tol, max_iter)),
+                PATH3,
+            ),
+        ],
+        ids=["eigenvector_vector", "eigenvector_vector-edgeless", "compute_episode_metrics"],
+    )
+    def test_setting_outside_the_rule_raises(self, compute, edges, tol, max_iter, message):
+        # a row never turns a bad setting into a warning: it is not a ConvergenceError
+        with pytest.raises(DomainError) as refused:
+            compute(graph_from(edges), tol, max_iter)
+        assert str(refused.value) == message
+
     def test_bipartite_converges(self):
         # 4-cycle is bipartite; the +-lambda pair must not oscillate
         cycle = {("A", "B"): 1.0, ("B", "C"): 1.0, ("C", "D"): 1.0, ("A", "D"): 1.0}

@@ -100,15 +100,26 @@ def test_every_error_class_is_raised():
     assert CHARNET_ERRORS - {name for _, name in _raised_classes()} == {"CharnetError"}
 
 
-def test_edge_rule_texts_live_in_graph_only():
-    # graph._check_edge states the edge rule once; a module that restated
-    # one of its messages would be a second copy that could drift
-    texts = ("self-loop on", "needs a positive finite weight")
+# each rule's message text -> the one module that states the rule
+RULE_TEXTS = {
+    "self-loop on": "graph.py",
+    "needs a positive finite weight": "graph.py",
+    "must be a finite number > 0": "metrics.py",
+    "must be at least 1": "metrics.py",
+    "permutation test needs": "stats.py",
+    "unknown table format": "report.py",
+}
+
+
+def test_rule_texts_live_in_their_owning_module():
+    # graph._check_edge states the edge rule once, metrics.check_eigen the
+    # power-iteration rule, and so on; a module that restated one of their
+    # messages would be a second copy that could drift
     assert [
         (path.name, text)
         for path, tree in _library_trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        for text in texts
-        if text in node.value and path.name != "graph.py"
+        for text, owner in RULE_TEXTS.items()
+        if text in node.value and path.name != owner
     ] == []
