@@ -41,6 +41,7 @@ from .metrics import (
 from .stats import (
     CorrelationReport,
     CorrelationResult,
+    add_permutation_pvalues,
     correlate_all,
     permutation_pvalue,
     rank_with_ties,
@@ -78,6 +79,7 @@ __all__ = [
     "transitivity",
     "CorrelationReport",
     "CorrelationResult",
+    "add_permutation_pvalues",
     "correlate_all",
     "permutation_pvalue",
     "rank_with_ties",

@@ -23,7 +23,7 @@ from .metrics import (
     compute_episode_metrics,
 )
 from .report import TABLE_FORMATS, render_correlations, render_manifest, render_metrics, render_scatter_svg
-from .stats import check_permutations, correlate_all
+from .stats import add_permutation_pvalues, check_permutations, correlate_all
 
 KNOWN_FORMATS = (*TABLE_FORMATS, "svg")
 
@@ -122,10 +122,11 @@ def _run(args: argparse.Namespace) -> int:
     reports = {}
     if everything or args.command == "correlate":
         # built before the first write: a series that cannot be correlated leaves no files
-        reports = {
-            series: correlate_all(rows, ratings, permutations=args.permutations, seed=args.seed)
-            for series, rows in rows_by_series.items()
-        }
+        reports = {series: correlate_all(rows, ratings) for series, rows in rows_by_series.items()}
+        if args.permutations is not None:
+            # one stage for every series: those of one size share a shuffle stream
+            pairs = [(rows_by_series[series], report) for series, report in reports.items()]
+            add_permutation_pvalues(pairs, ratings, args.permutations, args.seed)
     if everything:
         _write(args.out / "manifest.txt", render_manifest(episodes, dataset_warnings))
     echo = _echo_lines(args)

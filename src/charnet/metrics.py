@@ -258,6 +258,7 @@ def efficiency_metric(graph, mode: str = _DEFAULT.efficiency_mode) -> float:
     components with >= 2 nodes.  neighborhood: mean over active nodes of
     the efficiency of the subgraph induced by each node's neighbors.
     """
+    check_efficiency_mode(mode)
     index = _index(graph)
     if mode == "component-mean":
         # an active node's reach is its component, which has >= 2 nodes
@@ -267,7 +268,7 @@ def efficiency_metric(graph, mode: str = _DEFAULT.efficiency_mode) -> float:
         if not parts:
             raise DegenerateGraphError("no connected component has 2 or more nodes")
         values = [_efficiency(reach.bit_count(), part) for reach, part in parts.items()]
-    elif mode == "neighborhood":
+    else:  # neighborhood
         nbr = index.nbr
         if not nbr:
             raise DegenerateGraphError("no active nodes")
@@ -277,8 +278,6 @@ def efficiency_metric(graph, mode: str = _DEFAULT.efficiency_mode) -> float:
             else 0.0
             for mask, members in zip(nbr, index.adj)
         ]
-    else:
-        raise DomainError(f"unknown efficiency mode {mode!r}")
     return math.fsum(values) / len(values)
 
 
@@ -309,6 +308,12 @@ def harmonic_vector(graph) -> dict[CharacterId, float]:
     """
     index = _index(graph)
     return dict(zip(index.position, map(_reciprocal, index.hops[1])))
+
+
+def check_efficiency_mode(mode: str) -> None:
+    """Refuse an efficiency mode outside EFFICIENCY_MODES."""
+    if mode not in EFFICIENCY_MODES:
+        raise DomainError(f"unknown efficiency mode {mode!r}")
 
 
 def check_eigen(tol: float, max_iter: int) -> None:
@@ -393,14 +398,18 @@ def summarize(scores: dict[CharacterId, float]) -> tuple[float, float]:
 def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = None) -> EpisodeMetrics:
     """Fill all 12 metric columns for one episode.
 
-    An episode with no active node gets 0 in every column and a warning.
-    Otherwise it has an edge between two distinct nodes (the index refuses
-    a self-loop), so every column is defined; only a strength summary past
-    the float range and an eigen iteration short of its tolerance can fail,
-    and each becomes 0 plus a warning (a bad setting raises DomainError).
-    The row always comes back rectangular, so correlation never loses a column.
+    A config outside check_efficiency_mode's or check_eigen's rule raises
+    DomainError before the graph is read, whatever the graph.  An episode
+    with no active node gets 0 in every column and a warning.  Otherwise it
+    has an edge between two distinct nodes (the index refuses a self-loop),
+    so every column is defined; only a strength summary past the float
+    range and an eigen iteration short of its tolerance can fail, and each
+    becomes 0 plus a warning.  The row always comes back rectangular, so
+    correlation never loses a column.
     """
     config = config or _DEFAULT
+    check_efficiency_mode(config.efficiency_mode)
+    check_eigen(config.eigen_tol, config.eigen_max_iter)
     row = EpisodeMetrics(key=graph.key)
     index = _Index(graph)
     row.active_nodes = active_nodes(index)

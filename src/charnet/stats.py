@@ -94,17 +94,21 @@ def rank_with_ties(values) -> list[float]:
     return [r / 2 for r in _doubled_ranks(values)]
 
 
+def _centered(values) -> list[int]:
+    """The doubled centered ranks: each doubled rank minus n + 1, twice the mean rank."""
+    ranks = _doubled_ranks(values)
+    return [r - len(ranks) - 1 for r in ranks]
+
+
 def _paired(x, y) -> tuple[list[int], list[int]]:
-    """Check a pair of columns and return both doubled centered rank vectors:
-    each doubled rank minus n + 1, twice the mean rank, as exact ints."""
+    """Check a pair of columns and return both doubled centered rank vectors."""
     if len(x) != len(y):
         raise DomainError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise DegenerateInputError(f"need at least 3 pairs, got {len(x)}")
-    doubled_mean = len(x) + 1
     centered = []
     for values, what in ((x, "x"), (y, "y")):
-        centered.append([r - doubled_mean for r in _doubled_ranks(values)])
+        centered.append(_centered(values))
         if not any(centered[-1]):
             raise DegenerateInputError(f"{what} is constant")
     return centered[0], centered[1]
@@ -162,22 +166,28 @@ def check_permutations(iterations: int) -> None:
         raise DomainError(f"permutation test needs >= 1000 iterations, got {iterations}")
 
 
-def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]:
-    """Seeded permutation p-values of every doubled centered column against cy.
+def _permutation_pvalues(series, iterations: int, seed: int) -> list[list[float]]:
+    """Seeded permutation p-values of every doubled centered column of
+    every series against its own reviews; series is a list of
+    (columns, cy) pairs that all share one length n.
 
-    One shuffle stream of cy serves all columns, so each value equals the
-    one a lone column gets from the same seed.  Permuting y permutes its
-    rank vector, so only rank dot products are recomputed per shuffle.
+    The draws depend only on n and the seed, so one shuffle stream of the
+    positions serves every column of every series, and each value equals
+    the one a lone column gets from the same seed.  Permuting y permutes
+    its rank vector, so only rank dot products are recomputed per shuffle.
     Add-one smoothing on both sides keeps the estimates away from 0.
 
     The dots run in exact integers.  Each c lies in [1 - n, n - 1], so
     c + n is a non-negative int, and as each column sums to 0,
-    sum (a + n)(b + n) = dot + n^3, which lies in [0, 2n^3].  Each
-    value of y is a little-endian field of `size` bytes, enough for
-    bits(2n^3) + 1 bits whatever the iteration count, and the fields
-    themselves are shuffled: the draws do not depend on the values.  Each
-    shuffle's fields are appended to a batch of about _BATCH_BYTES, and
-    strided slices transpose the batch into one int per position, holding
+    sum (a + n)(b + n) = dot + n^3, which lies in [0, 2n^3].  Each series'
+    value of y at a position is a little-endian field of `size` bytes,
+    enough for bits(2n^3) + 1 bits whatever the iteration count; a
+    position holds the fields of all series side by side, and the
+    positions themselves are shuffled: the draws do not depend on the
+    values.  Each shuffle's row of positions is appended to a batch of
+    about _BATCH_BYTES, so a wider row means fewer shuffles per batch.
+    Per batch, each series cuts its own fields out at its own byte offset:
+    strided slices transpose them into one int per position, holding
     that position's value in every shuffle of the batch, one field each.
     So per batch one multiply-accumulate per column yields the column's
     dot for every shuffle, each in its own field.
@@ -192,20 +202,21 @@ def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]
     hit in its own field's guard bit, and a popcount per batch adds the
     column's hits.
     """
-    n = len(cy)
+    n = len(series[0][1])
     cube = n**3
     size = ((2 * cube).bit_length() + 8) // 8
     guard = 1 << (8 * size - 1)
-    weights = [[a + n for a in cx] for cx in columns]
-    ys = [b + n for b in cy]
-    bounds = [abs(sum(map(operator.mul, cx, cy))) for cx in columns]
-    fields = [y.to_bytes(size, "little") for y in ys]
+    width = len(series) * size
+    fields = [b"".join((cy[i] + n).to_bytes(size, "little") for _, cy in series) for i in range(n)]
+    tests = [
+        [([a + n for a in cx], abs(sum(map(operator.mul, cx, cy)))) for cx in columns] for columns, cy in series
+    ]
     getrandbits = random.Random(seed).getrandbits
     steps = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
-    row = n * size
+    row = n * width
     batch = max(1, _BATCH_BYTES // row)
     join = b"".join
-    hits = [0] * len(columns)
+    hits = [[0] * len(columns) for columns, _ in series]
     for done in range(0, iterations, batch):
         count = min(batch, iterations - done)
         flat = bytearray()
@@ -213,19 +224,20 @@ def _permutation_pvalues(columns, cy, iterations: int, seed: int) -> list[float]
             _shuffle(fields, getrandbits, steps)
             flat += join(fields)
         lane = bytearray(count * size)
-        lanes = []
-        for start in range(0, row, size):
-            for j in range(size):
-                lane[j::size] = flat[start + j :: row]
-            lanes.append(int.from_bytes(lane, "little"))
         ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
         guards = guard * ones
-        for c, (w, k) in enumerate(zip(weights, bounds)):
-            total = sum(map(operator.mul, w, lanes))
-            high = total + (guard - cube - k) * ones
-            low = total + (guard - cube + k - 1) * ones
-            hits[c] += ((high | ~low) & guards).bit_count()
-    return [(1 + h) / (1 + iterations) for h in hits]
+        for at, (columns, counts) in enumerate(zip(tests, hits)):
+            lanes = []
+            for start in range(at * size, row, width):
+                for j in range(size):
+                    lane[j::size] = flat[start + j :: row]
+                lanes.append(int.from_bytes(lane, "little"))
+            for c, (w, k) in enumerate(columns):
+                total = sum(map(operator.mul, w, lanes))
+                high = total + (guard - cube - k) * ones
+                low = total + (guard - cube + k - 1) * ones
+                counts[c] += ((high | ~low) & guards).bit_count()
+    return [[(1 + h) / (1 + iterations) for h in counts] for counts in hits]
 
 
 def _shuffle(ys: list, getrandbits, steps) -> None:
@@ -245,7 +257,20 @@ def permutation_pvalue(x, y, iterations: int, rng_seed: int) -> float:
     """Share of seeded permutations of y at least as extreme as observed."""
     check_permutations(iterations)  # reported ahead of any input error
     cx, cy = _paired(x, y)
-    return _permutation_pvalues([cx], cy, iterations, rng_seed)[0]
+    return _permutation_pvalues([([cx], cy)], iterations, rng_seed)[0][0]
+
+
+def _rated(
+    rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float]
+) -> tuple[list[EpisodeMetrics], list[float], int]:
+    """One series' rated rows in key order, their reviews, and how many rows had none."""
+    series_names = sorted({row.key.series for row in rows})
+    if len(series_names) != 1:
+        raise DomainError(f"expected rows from exactly one series, got {series_names}")
+    usable = [row for row in sorted(rows, key=lambda r: r.key) if row.key in ratings]
+    if len(usable) < 4:
+        raise DegenerateInputError(f"series {series_names[0]!r}: need at least 4 rated episodes, got {len(usable)}")
+    return usable, [ratings[row.key] for row in usable], len(rows) - len(usable)
 
 
 def correlate_all(
@@ -259,38 +284,50 @@ def correlate_all(
     Episodes without a rating are dropped and counted.  A constant metric
     column yields a flagged row (rho and p empty, note set) instead of an
     error so the report always carries all 12 rows.  When `permutations`
-    is set, each row also gets a seeded permutation p-value cross-check.
+    is set, each row also gets a seeded permutation p-value cross-check,
+    from add_permutation_pvalues.
     """
     if permutations is not None:
         check_permutations(permutations)
-    series_names = sorted({row.key.series for row in rows})
-    if len(series_names) != 1:
-        raise DomainError(f"expected rows from exactly one series, got {series_names}")
-
-    paired = [(row, ratings.get(row.key)) for row in sorted(rows, key=lambda r: r.key)]
-    usable = [(row, review) for row, review in paired if review is not None]
+    usable, reviews, excluded = _rated(rows, ratings)
     n = len(usable)
-    if n < 4:
-        raise DegenerateInputError(f"series {series_names[0]!r}: need at least 4 rated episodes, got {n}")
-
-    reviews = [review for _, review in usable]
-    report = CorrelationReport(n=n, excluded=len(paired) - n)
-    tested: list[CorrelationResult] = []
-    columns: list[list[int]] = []
+    report = CorrelationReport(n=n, excluded=excluded)
     for column in METRICS:
-        values = [float(getattr(row, column.attr)) for row, _ in usable]
+        values = [float(getattr(row, column.attr)) for row in usable]
         try:
-            cx, cy = _paired(values, reviews)
+            rho = _rho(*_paired(values, reviews))
         except DegenerateInputError as exc:
             report.results.append(CorrelationResult(column.label, None, None, note=str(exc)))
             continue
-        rho = _rho(cx, cy)
-        p = spearman_pvalue(rho, n)
-        tested.append(CorrelationResult(column.label, rho, p))
-        report.results.append(tested[-1])
-        columns.append(cx)
-    if permutations is not None and tested:  # cy is the same for every column
-        pvalues = _permutation_pvalues(columns, cy, permutations, seed)
-        for result, pvalue in zip(tested, pvalues):
-            result.permutation_p = pvalue
+        report.results.append(CorrelationResult(column.label, rho, spearman_pvalue(rho, n)))
+    if permutations is not None:
+        add_permutation_pvalues([(rows, report)], ratings, permutations, seed)
     return report
+
+
+def add_permutation_pvalues(
+    series: list[tuple[list[EpisodeMetrics], CorrelationReport]],
+    ratings: dict[EpisodeKey, float],
+    permutations: int,
+    seed: int,
+) -> None:
+    """Fill permutation_p in every tested row of each series' report.
+
+    Each report is correlate_all's for the rows it is paired with.  Series
+    with the same number of rated episodes share one shuffle stream, yet
+    each row's value equals permutation_pvalue(values, reviews,
+    permutations, seed) for that row's column alone.
+    """
+    check_permutations(permutations)
+    groups: dict[int, list] = {}
+    for rows, report in series:
+        usable, reviews, _ = _rated(rows, ratings)
+        tested = [(column, result) for column, result in zip(METRICS, report.results) if result.rho is not None]
+        if tested:
+            columns = [_centered([float(getattr(row, column.attr)) for row in usable]) for column, _ in tested]
+            groups.setdefault(len(usable), []).append(([result for _, result in tested], columns, _centered(reviews)))
+    for group in groups.values():
+        pvalues = _permutation_pvalues([(columns, cy) for _, columns, cy in group], permutations, seed)
+        for (results, _, _), values in zip(group, pvalues):
+            for result, value in zip(results, values):
+                result.permutation_p = value

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from charnet import stats
 from charnet.graph import EpisodeKey, SegmentGraph, add_interaction
 from charnet.ingest import serialize_episode
 
@@ -41,6 +42,19 @@ def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
         **kwargs,
     )
 
+
+
+def count_shuffles(monkeypatch) -> list[int]:
+    """Record the length of every list the permutation test shuffles, until the test ends."""
+    shuffles: list[int] = []
+    shuffle = stats._shuffle
+
+    def counting_shuffle(ys, getrandbits, steps):
+        shuffles.append(len(ys))
+        shuffle(ys, getrandbits, steps)
+
+    monkeypatch.setattr(stats, "_shuffle", counting_shuffle)
+    return shuffles
 
 CAST = [
     "Avery Hale",

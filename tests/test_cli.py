@@ -20,7 +20,7 @@ from charnet.ingest import serialize_episode
 from charnet.metrics import METRIC_BY_ATTR, METRICS
 from charnet.report import METRICS_CSV_HEADER
 
-from support import build_demo_dataset, build_messy_dataset, random_segments, run_python
+from support import build_demo_dataset, build_messy_dataset, count_shuffles, random_segments, run_python
 
 
 @pytest.fixture(scope="module")
@@ -414,6 +414,33 @@ class TestCorrelate:
         text = (out / "alpha_correlations.csv").read_text()
         assert "permutation pValue" in text
         assert "permutations: 1000, seed: 5" in text
+
+    def test_series_of_one_size_share_a_stream_yet_match_a_lone_run(self, tmp_path, monkeypatch, capsys):
+        # alpha and beta have 6 rated episodes each and gamma 8: two
+        # shuffle streams, and each series' tables are those of a dataset
+        # that holds that series alone
+        segments, ratings = build_demo_dataset(tmp_path / "mixed")
+        gamma_segments, gamma_ratings = build_demo_dataset(tmp_path / "gamma", series=("gamma",), episodes=8)
+        for path in gamma_segments.iterdir():
+            (segments / path.name).write_bytes(path.read_bytes())
+        lines = ratings.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines += gamma_ratings.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        ratings.write_text("".join(lines), encoding="utf-8")
+        shuffles = count_shuffles(monkeypatch)
+        flags = ("--permutations", "2000", "--seed", "4")
+        assert run_cli("correlate", (segments, ratings), tmp_path / "out", *flags) == 0
+        assert sorted(shuffles) == [6] * 2000 + [8] * 2000
+        for series in ("alpha", "beta", "gamma"):
+            alone = tmp_path / "alone" / series
+            (alone / "segments").mkdir(parents=True)
+            for path in segments.glob(f"{series}_*.json"):
+                (alone / "segments" / path.name).write_bytes(path.read_bytes())
+            rated = [line for line in lines if line.startswith((f"{series},", "series,"))]
+            (alone / "ratings.csv").write_text("".join(rated), encoding="utf-8")
+            assert run_cli("correlate", (alone / "segments", alone / "ratings.csv"), alone / "out", *flags) == 0
+            for fmt in ("csv", "md"):
+                name = f"{series}_correlations.{fmt}"
+                assert (alone / "out" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
 
     def test_neighborhood_mode_changes_output(self, clean_dataset, tmp_path, capsys):
         base = tmp_path / "base"

@@ -457,6 +457,22 @@ class TestComputeEpisodeMetrics:
         assert (row.strength_max, row.strength_std) == (1e308, 0.0)
         assert row.warnings == []
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            # the mode is checked before the eigen settings
+            (MetricsConfig("nosuch", math.nan, 0), "unknown efficiency mode 'nosuch'"),
+            (MetricsConfig("neighborhood", 1e-10, 0), "eigen max iterations must be at least 1, got 0"),
+        ],
+        ids=["mode", "eigen"],
+    )
+    @pytest.mark.parametrize("edges, extra", [(PATH3, ()), ({}, ("A",))], ids=["edge", "one-node-edgeless"])
+    def test_bad_setting_raises_whatever_the_graph(self, edges, extra, config, message):
+        # a graph with no active node returns a warning row, but only for a good config
+        with pytest.raises(DomainError) as refused:
+            compute_episode_metrics(graph_from(edges, extra_nodes=extra), config)
+        assert str(refused.value) == message
+
     def test_convergence_failure_becomes_warning(self):
         row = compute_episode_metrics(
             graph_from(PATH3), MetricsConfig(eigen_max_iter=1)

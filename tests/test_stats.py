@@ -31,6 +31,7 @@ from oracles import (
     spearman_shortcut,
     t_two_tailed_quadrature,
 )
+from support import count_shuffles
 
 
 class TestSignificanceStars:
@@ -320,10 +321,10 @@ def _batch(n: int) -> int:
     return max(1, stats._BATCH_BYTES // (n * _field_bytes(n)))
 
 
-def _boundary_columns(n: int):
+def _boundary_columns(n: int, salt: int = 0):
     """Seeded tied columns against binary reviews, plus rho = +1 and -1:
     many shuffles meet the observed |dot| exactly."""
-    rng = random.Random(n)
+    rng = random.Random(n + 1000 * salt)
     reviews = [i % 2 for i in range(n)]
     rng.shuffle(reviews)
     columns = []
@@ -359,7 +360,7 @@ class TestPackedPermutationLoop:
                 continue
             columns.append(cx)
         assume(columns)
-        packed = stats._permutation_pvalues(columns, cy, 1000, seed)
+        packed = stats._permutation_pvalues([(columns, cy)], 1000, seed)[0]
         assert packed == permutation_pvalues_float(columns, cy, 1000, seed)
         assert packed[-2] == packed[-1]  # rho = +1 and -1 have the same |dot|
 
@@ -390,7 +391,7 @@ class TestPackedPermutationLoop:
 
         monkeypatch.setattr(random, "Random", TwoSwaps)
         monkeypatch.setattr(stats, "_shuffle", lambda ys, getrandbits, steps: swap(ys))
-        packed = stats._permutation_pvalues([cx], cy, 1000, 0)
+        packed = stats._permutation_pvalues([([cx], cy)], 1000, 0)[0]
         assert packed == permutation_pvalues_float([cx], cy, 1000, 0) == [501 / 1001]
 
     @pytest.mark.parametrize("iterations", [1023, 1024, 2047, 4095, 4096])
@@ -407,7 +408,7 @@ class TestPackedPermutationLoop:
             cx, cy = stats._paired(values, reviews)
             columns.append(cx)
         assert sum(a * b for a, b in zip(columns[1], cy)) == 0
-        packed = stats._permutation_pvalues(columns, cy, iterations, 5)
+        packed = stats._permutation_pvalues([(columns, cy)], iterations, 5)[0]
         assert packed == permutation_pvalues_float(columns, cy, iterations, 5)
         assert packed[1] == 1.0
 
@@ -418,7 +419,7 @@ class TestPackedPermutationLoop:
         batch = _batch(n)
         iterations = batch * -(-1001 // batch) + offset
         columns, cy = _boundary_columns(n)
-        packed = stats._permutation_pvalues(columns, cy, iterations, 17)
+        packed = stats._permutation_pvalues([(columns, cy)], iterations, 17)[0]
         assert packed == permutation_pvalues_float(columns, cy, iterations, 17)
 
     @pytest.mark.parametrize("n", [25, 26, 161, 162, 203, 204])
@@ -427,8 +428,25 @@ class TestPackedPermutationLoop:
         # n = 161, then 4; 203/204 is where bits(2n^3) alone would grow
         assert _field_bytes(n) == (2 if n <= 25 else 3 if n <= 161 else 4)
         columns, cy = _boundary_columns(n)
-        packed = stats._permutation_pvalues(columns, cy, 1000, n)
+        packed = stats._permutation_pvalues([(columns, cy)], 1000, n)[0]
         assert packed == permutation_pvalues_float(columns, cy, 1000, n)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("n", [4, 25, 26])
+    def test_series_of_one_size_share_the_stream(self, monkeypatch, n, wide):
+        # Three series of one size, each with its own reviews and column
+        # count, share one shuffle stream, yet each gets what it gets alone.
+        # When wide, the row of three series' fields exceeds _BATCH_BYTES,
+        # so each batch holds one shuffle.
+        series = [_boundary_columns(n, salt) for salt in range(3)]
+        series = [(columns[salt:], cy) for salt, (columns, cy) in enumerate(series)]
+        alone = [stats._permutation_pvalues([one], 1500, 23)[0] for one in series]
+        assert alone == [permutation_pvalues_float(columns, cy, 1500, 23) for columns, cy in series]
+        if wide:
+            monkeypatch.setattr(stats, "_BATCH_BYTES", 3 * n * _field_bytes(n) - 1)
+        shuffles = count_shuffles(monkeypatch)
+        assert stats._permutation_pvalues(series, 1500, 23) == alone
+        assert shuffles == [n] * 1500
 
     def test_integer_bound_edges(self):
         # For rho = +1 and -1 no shuffle exceeds |observed dot|: a hit needs
@@ -442,7 +460,7 @@ class TestPackedPermutationLoop:
             cx, cy = stats._paired(values, reviews)
             columns.append(cx)
         assert sum(a * b for a, b in zip(columns[2], cy)) == 25
-        packed = stats._permutation_pvalues(columns, cy, 5000, 11)
+        packed = stats._permutation_pvalues([(columns, cy)], 5000, 11)[0]
         assert packed == permutation_pvalues_float(columns, cy, 5000, 11)
         assert packed[0] == packed[1] > 1 / 5001  # some shuffles did hit
 
@@ -589,14 +607,7 @@ class TestCorrelateAll:
             assert result.note == expected
 
     def test_one_shuffle_stream_per_series(self, monkeypatch):
-        shuffles = []
-        shuffle = stats._shuffle
-
-        def counting_shuffle(ys, getrandbits, steps):
-            shuffles.append(len(ys))
-            shuffle(ys, getrandbits, steps)
-
-        monkeypatch.setattr(stats, "_shuffle", counting_shuffle)
+        shuffles = count_shuffles(monkeypatch)
         report = correlate_all(_demo_rows(), _demo_ratings(), permutations=1000, seed=7)
         assert len(shuffles) == 1000
         _assert_rows_match_standalone(_demo_rows(), _demo_ratings(), 1000, 7, report)
