@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Generate a synthetic segment-graph dataset for demos and smoke tests.
 
-Writes one JSON file per episode plus a ratings CSV, all derived from a
-fixed seed, then prints the command that consumes them.
+Writes EPISODES JSON files for each series in SERIES plus a ratings CSV,
+all derived from SEED, then prints the command that consumes them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ CAST = [
     "Imogen Park",
     "Jules Navarro",
 ]
+SERIES = ["alpha", "beta"]
+EPISODES = 6  # per series
+SEED = 20240817
 
 
 def build_segments(rng: random.Random) -> list[SegmentGraph]:
@@ -45,23 +48,15 @@ def build_segments(rng: random.Random) -> list[SegmentGraph]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, required=True, help="dataset directory to create")
-    parser.add_argument(
-        "--series",
-        nargs="+",
-        default=["alpha", "beta"],
-        help="series keys to generate (default: alpha beta)",
-    )
-    parser.add_argument("--episodes", type=int, default=6, help="episodes per series")
-    parser.add_argument("--seed", type=int, default=20240817, help="generation seed")
     args = parser.parse_args()
 
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     segments_dir = args.out / "segments"
     segments_dir.mkdir(parents=True, exist_ok=True)
 
     rating_lines = ["series,season,episode,rating"]
-    for name in args.series:
-        for episode in range(1, args.episodes + 1):
+    for name in SERIES:
+        for episode in range(1, EPISODES + 1):
             key = EpisodeKey(name, 1, episode)
             text = serialize_episode(key, build_segments(rng))
             path = segments_dir / f"{name}_s01e{episode:02d}.json"
@@ -71,7 +66,7 @@ def main() -> int:
     ratings_csv = args.out / "ratings.csv"
     ratings_csv.write_text("\n".join(rating_lines) + "\n", encoding="utf-8", newline="")
 
-    total = len(args.series) * args.episodes
+    total = len(SERIES) * EPISODES
     print(f"wrote {total} episode files under {segments_dir}")
     print(f"wrote {ratings_csv}")
     quoted = [shlex.quote(str(path)) for path in (segments_dir, ratings_csv, args.out / "reports")]

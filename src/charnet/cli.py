@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="add a seeded permutation p-value cross-check with this many iterations (>= 1000)",
         )
-        cmd.add_argument("--seed", type=int, default=0, help="permutation test seed")
+        cmd.add_argument("--seed", type=int, default=0, help="permutation test seed; -S draws the same stream as S")
         cmd.add_argument(
             "--format",
             default=",".join(KNOWN_FORMATS),

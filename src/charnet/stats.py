@@ -160,13 +160,13 @@ def spearman_pvalue(rho: float, n: int) -> float:
 _BATCH_BYTES = 16384
 
 
-def check_permutations(iterations: int) -> None:
+def check_permutations(permutations: int) -> None:
     """The one floor on permutation counts, for the CLI and both entry points."""
-    if iterations < 1000:
-        raise DomainError(f"permutation test needs >= 1000 iterations, got {iterations}")
+    if permutations < 1000:
+        raise DomainError(f"permutation test needs >= 1000 iterations, got {permutations}")
 
 
-def _permutation_pvalues(series, iterations: int, seed: int) -> list[list[float]]:
+def _permutation_pvalues(series, permutations: int, seed: int) -> list[list[float]]:
     """Seeded permutation p-values of every doubled centered column of
     every series against its own reviews; series is a list of
     (columns, cy) pairs that all share one length n.
@@ -181,7 +181,7 @@ def _permutation_pvalues(series, iterations: int, seed: int) -> list[list[float]
     c + n is a non-negative int, and as each column sums to 0,
     sum (a + n)(b + n) = dot + n^3, which lies in [0, 2n^3].  Each series'
     value of y at a position is a little-endian field of `size` bytes,
-    enough for bits(2n^3) + 1 bits whatever the iteration count; a
+    enough for bits(2n^3) + 1 bits whatever the permutation count; a
     position holds the fields of all series side by side, and the
     positions themselves are shuffled: the draws do not depend on the
     values.  Each shuffle's row of positions is appended to a batch of
@@ -217,8 +217,8 @@ def _permutation_pvalues(series, iterations: int, seed: int) -> list[list[float]
     batch = max(1, _BATCH_BYTES // row)
     join = b"".join
     hits = [[0] * len(columns) for columns, _ in series]
-    for done in range(0, iterations, batch):
-        count = min(batch, iterations - done)
+    for done in range(0, permutations, batch):
+        count = min(batch, permutations - done)
         flat = bytearray()
         for _ in range(count):
             _shuffle(fields, getrandbits, steps)
@@ -237,7 +237,7 @@ def _permutation_pvalues(series, iterations: int, seed: int) -> list[list[float]
                 high = total + (guard - cube - k) * ones
                 low = total + (guard - cube + k - 1) * ones
                 counts[c] += ((high | ~low) & guards).bit_count()
-    return [[(1 + h) / (1 + iterations) for h in counts] for counts in hits]
+    return [[(1 + h) / (1 + permutations) for h in counts] for counts in hits]
 
 
 def _shuffle(ys: list, getrandbits, steps) -> None:
@@ -253,11 +253,11 @@ def _shuffle(ys: list, getrandbits, steps) -> None:
         ys[i], ys[j] = ys[j], ys[i]
 
 
-def permutation_pvalue(x, y, iterations: int, rng_seed: int) -> float:
+def permutation_pvalue(x, y, permutations: int, seed: int) -> float:
     """Share of seeded permutations of y at least as extreme as observed."""
-    check_permutations(iterations)  # reported ahead of any input error
+    check_permutations(permutations)  # reported ahead of any input error
     cx, cy = _paired(x, y)
-    return _permutation_pvalues([([cx], cy)], iterations, rng_seed)[0][0]
+    return _permutation_pvalues([([cx], cy)], permutations, seed)[0][0]
 
 
 def _rated(
@@ -273,22 +273,14 @@ def _rated(
     return usable, [ratings[row.key] for row in usable], len(rows) - len(usable)
 
 
-def correlate_all(
-    rows: list[EpisodeMetrics],
-    ratings: dict[EpisodeKey, float],
-    permutations: int | None = None,
-    seed: int = 0,
-) -> CorrelationReport:
+def correlate_all(rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float]) -> CorrelationReport:
     """Correlate every metric column of one series against its reviews.
 
     Episodes without a rating are dropped and counted.  A constant metric
     column yields a flagged row (rho and p empty, note set) instead of an
-    error so the report always carries all 12 rows.  When `permutations`
-    is set, each row also gets a seeded permutation p-value cross-check,
-    from add_permutation_pvalues.
+    error so the report always carries all 12 rows.  add_permutation_pvalues
+    adds the seeded permutation p-value cross-check to a report.
     """
-    if permutations is not None:
-        check_permutations(permutations)
     usable, reviews, excluded = _rated(rows, ratings)
     n = len(usable)
     report = CorrelationReport(n=n, excluded=excluded)
@@ -300,8 +292,6 @@ def correlate_all(
             report.results.append(CorrelationResult(column.label, None, None, note=str(exc)))
             continue
         report.results.append(CorrelationResult(column.label, rho, spearman_pvalue(rho, n)))
-    if permutations is not None:
-        add_permutation_pvalues([(rows, report)], ratings, permutations, seed)
     return report
 
 
@@ -313,10 +303,11 @@ def add_permutation_pvalues(
 ) -> None:
     """Fill permutation_p in every tested row of each series' report.
 
-    Each report is correlate_all's for the rows it is paired with.  Series
-    with the same number of rated episodes share one shuffle stream, yet
-    each row's value equals permutation_pvalue(values, reviews,
-    permutations, seed) for that row's column alone.
+    Each report is correlate_all's for the rows it is paired with.  The
+    permutations floor is checked first, even when no row is tested.
+    Series with the same number of rated episodes share one shuffle
+    stream, yet each row's value equals permutation_pvalue(values,
+    reviews, permutations, seed) for that row's column alone.
     """
     check_permutations(permutations)
     groups: dict[int, list] = {}

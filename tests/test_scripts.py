@@ -36,6 +36,16 @@ def test_generated_demo_dataset_validates_clean(tmp_path):
     assert (tmp_path / "out" / "manifest.txt").is_file()
 
 
+def test_generator_takes_no_dataset_shape_options(tmp_path):
+    # series, episode count and seed are the script's constants; an option
+    # that would change them is refused before anything is written
+    demo = tmp_path / "demo"
+    result = run_python(str(REPO_ROOT / "scripts" / "generate_demo_dataset.py"), "--out", str(demo), "--episodes", "3")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --episodes 3" in result.stderr
+    assert not demo.exists()
+
+
 def test_next_line_quotes_paths_with_spaces(tmp_path):
     demo = tmp_path / "demo dir"
     result = run_python(str(REPO_ROOT / "scripts" / "generate_demo_dataset.py"), "--out", str(demo))

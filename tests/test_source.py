@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import ast
+import inspect
+import re
 
-from charnet import errors
+import charnet
+from charnet import errors, report
 
 from support import REPO_ROOT
 
@@ -123,3 +126,35 @@ def test_rule_texts_live_in_their_owning_module():
         for text, owner in RULE_TEXTS.items()
         if text in node.value and path.name != owner
     ] == []
+
+
+def _readme_call_forms() -> list[tuple[int, str, str]]:
+    """(line, name, parameter text) of each README code span that is
+    exactly a call form `name(p1, p2=default, ...)` of a public function:
+    one in charnet.__all__ or a charnet.report.render_*.  Spans that are
+    expressions, with literal arguments or anything around the call,
+    are not call forms."""
+    forms = []
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    for number, line in enumerate(readme.splitlines(), 1):
+        for name, params in re.findall(r"`(\w+)\(([^()`]*)\)`", line):
+            if name not in charnet.__all__ and not (name.startswith("render_") and hasattr(report, name)):
+                continue
+            if all(re.fullmatch(r"[A-Za-z_]\w*(=\S+)?", p) for p in params.split(", ")):
+                forms.append((number, name, params))
+    return forms
+
+
+def test_readme_call_forms_match_the_signatures():
+    forms = _readme_call_forms()
+    assert {name for _, name, _ in forms} >= {"correlate_all", "permutation_pvalue", "render_metrics"}
+    stale = []
+    for number, name, params in forms:
+        function = getattr(charnet if name in charnet.__all__ else report, name)
+        actual = ", ".join(
+            p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+            for p in inspect.signature(function).parameters.values()
+        )
+        if params != actual:
+            stale.append(f"README.md:{number}: {name}({params}) is {name}({actual})")
+    assert stale == []

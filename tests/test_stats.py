@@ -16,6 +16,7 @@ from charnet.graph import EpisodeKey
 from charnet.metrics import METRICS, EpisodeMetrics
 from charnet.report import render_correlations
 from charnet.stats import (
+    add_permutation_pvalues,
     correlate_all,
     permutation_pvalue,
     rank_with_ties,
@@ -307,6 +308,15 @@ class TestPermutationPvalue:
         with pytest.raises(DegenerateInputError):
             permutation_pvalue([1, 1, 1, 1], [1, 2, 3, 4], 1000, 0)
 
+    def test_negative_seed_draws_the_positive_seeds_stream(self):
+        # Random(-S) seeds as Random(S), so --seed -5 and --seed 5 give one
+        # value while their footers echo different seeds; a Python that
+        # changes this fails here
+        x = [1, 2, 3, 4, 5, 6, 7, 8]
+        y = [3, 1, 4, 8, 5, 2, 7, 6]
+        assert permutation_pvalue(x, y, 1000, -5) == permutation_pvalue(x, y, 1000, 5)
+        assert permutation_pvalue(x, y, 1000, 6) != permutation_pvalue(x, y, 1000, 5)
+
 
 def _tied_column(n: int, top: int):
     return st.lists(st.integers(0, top), min_size=n, max_size=n)
@@ -511,10 +521,17 @@ def _demo_ratings() -> dict[EpisodeKey, float]:
     return {EpisodeKey("demo", 1, i): float(i) for i in range(1, 9)}
 
 
+def _correlate_with_permutations(rows, ratings, permutations, seed):
+    """correlate_all's report for one series, with the permutation stage run on it."""
+    report = correlate_all(rows, ratings)
+    add_permutation_pvalues([(rows, report)], ratings, permutations, seed)
+    return report
+
+
 def _assert_rows_match_standalone(rows, ratings, permutations, seed, report=None):
     """Every tested row's permutation p equals a lone call with the same seed."""
     if report is None:
-        report = correlate_all(rows, ratings, permutations=permutations, seed=seed)
+        report = _correlate_with_permutations(rows, ratings, permutations, seed)
     usable = [row for row in sorted(rows, key=lambda r: r.key) if row.key in ratings]
     reviews = [ratings.get(row.key) for row in usable]
     for column, result in zip(METRICS, report.results):
@@ -560,17 +577,13 @@ class TestCorrelateAll:
         assert report.excluded == 2
 
     def test_permutation_column(self):
-        report = correlate_all(
-            _demo_rows(), _demo_ratings(), permutations=1000, seed=7
-        )
+        report = _correlate_with_permutations(_demo_rows(), _demo_ratings(), 1000, 7)
         for result in report.results:
             if result.rho is None:
                 assert result.permutation_p is None
             else:
                 assert 0.0 < result.permutation_p <= 1.0
-        again = correlate_all(
-            _demo_rows(), _demo_ratings(), permutations=1000, seed=7
-        )
+        again = _correlate_with_permutations(_demo_rows(), _demo_ratings(), 1000, 7)
         assert report == again
 
     def test_permutation_rows_equal_standalone_calls(self):
@@ -598,7 +611,7 @@ class TestCorrelateAll:
 
     def test_constant_reviews_flag_every_row(self):
         ratings = {key: 7.5 for key in _demo_ratings()}
-        report = correlate_all(_demo_rows(), ratings, permutations=1000, seed=7)
+        report = _correlate_with_permutations(_demo_rows(), ratings, 1000, 7)
         assert len(report.results) == 12
         for result in report.results:
             assert result.rho is None and result.p_value is None
@@ -608,19 +621,19 @@ class TestCorrelateAll:
 
     def test_one_shuffle_stream_per_series(self, monkeypatch):
         shuffles = count_shuffles(monkeypatch)
-        report = correlate_all(_demo_rows(), _demo_ratings(), permutations=1000, seed=7)
+        report = _correlate_with_permutations(_demo_rows(), _demo_ratings(), 1000, 7)
         assert len(shuffles) == 1000
         _assert_rows_match_standalone(_demo_rows(), _demo_ratings(), 1000, 7, report)
 
     def test_permutation_floor_applies_to_tested_rows(self):
         with pytest.raises(DomainError):
-            correlate_all(_demo_rows(), _demo_ratings(), permutations=999)
+            _correlate_with_permutations(_demo_rows(), _demo_ratings(), 999, 0)
 
     def test_permutation_floor_applies_when_no_row_is_tested(self):
         # constant reviews flag every row, so no column reaches the permutation test
         ratings = {key: 7.5 for key in _demo_ratings()}
         with pytest.raises(DomainError, match="^permutation test needs >= 1000 iterations, got 5$"):
-            correlate_all(_demo_rows(), ratings, permutations=5)
+            _correlate_with_permutations(_demo_rows(), ratings, 5, 0)
 
     def test_mixed_series_rejected(self):
         rows = _demo_rows()
