@@ -18,7 +18,7 @@ class CharnetError(Exception):
 class FormatError(CharnetError):
     """Input does not match the documented formats: a malformed file or
     field, a rating outside 1-10 or given twice, no episode files, an
-    unknown metric or series name."""
+    unknown output format, metric or series name."""
 
 
 class InvariantError(CharnetError):
@@ -30,9 +30,9 @@ class InvariantError(CharnetError):
 
 class DomainError(CharnetError):
     """An argument lies outside its domain: a non-finite value to rank,
-    paired vectors of unequal length, an unknown efficiency mode, rows of
-    several series, a p-value's n or rho, too few permutations, an eigen
-    setting."""
+    paired vectors of unequal length, an unknown efficiency mode or table
+    format, rows of several series, a p-value's n or rho, too few
+    permutations, an eigen setting."""
 
 
 class DegenerateGraphError(CharnetError):

@@ -4,9 +4,12 @@ rho is the Pearson correlation of average ranks, which stays correct under
 ties; the classic 6*sum(d^2) shortcut is deliberately not used (it is only
 valid tie-free, and review scores repeat).  rho and the permutation test
 read the same exact int ranks, each twice a centered rank; only
-rank_with_ties returns float ranks.  Two-tailed p-values come from
-the Student-t approximation with n-2 degrees of freedom, whose tail at an
-integer df is an exact finite sum.  A seeded permutation test provides an
+rank_with_ties returns float ranks.  rho is their int dot product over the
+root of the product of their int sums of squares; below about 2*10^5
+values that is the float that half-integer centered ranks give in
+floating point.  Two-tailed p-values come from the Student-t
+approximation with n-2 degrees of freedom, whose tail at an integer df is
+an exact finite sum.  A seeded permutation test provides an
 independent cross-check of that approximation.
 """
 

@@ -4,7 +4,7 @@ Each criterion is one test so the verbose run shows one pass/fail line per
 criterion.  Quantitative targets come from data/reference, which transcribes
 the correlation and metric tables this pipeline is meant to
 reproduce.  Known source-table quirks (one sign flip, two star assignments
-sitting on a rounding boundary, one anomalous star) are asserted explicitly
+sitting on the 0.01 boundary, one anomalous star) are asserted explicitly
 rather than skipped; see the repository notes for the analysis.
 """
 
@@ -90,9 +90,12 @@ def test_criterion_1_pvalue_anchors():
 #                      metric column yields; magnitude must still agree
 #   hoc/efficiency     reference prints a star at p = 0.051, which the strict
 #                      thresholds never award
-#   hoc/degree_max     p sits on the 0.01 star boundary; 3-decimal inputs land
-#                      a hair above it
-#   hoc/eigen_std      same boundary effect, slightly larger rounding wobble
+#   hoc/degree_max     an integer column, so nothing was rounded: rho -0.4931
+#                      matches the reference, and p 0.01047 prints as 0.010 but
+#                      is not below 0.01, so strict stars give * where the
+#                      reference prints **
+#   hoc/eigen_std      reference p 0.009 sits just below 0.01; recomputed from
+#                      3-decimal inputs, rho is 0.488 and p 0.0114
 STAR_EXCEPTIONS = {
     ("hoc", "efficiency"): dict(p_tol=0.004),
     ("hoc", "degree_max"): dict(p_tol=0.002),

@@ -321,15 +321,24 @@ def test_table_command_without_table_format_exits_two_before_reading(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dataset", ["clean_dataset", "messy_dataset"])
-def test_subcommands_write_what_all_writes(request, tmp_path, capsys, dataset):
+@pytest.mark.parametrize(
+    "dataset, ignored",
+    [
+        pytest.param("clean_dataset", [], id="clean_dataset"),
+        pytest.param("messy_dataset", [], id="messy_dataset"),
+        # validate and plot write the same bytes, with the same exit code, under any valid --format
+        pytest.param("messy_dataset", ["--format", "md"], id="messy_dataset-md"),
+        pytest.param("messy_dataset", ["--format", "csv"], id="messy_dataset-csv"),
+    ],
+)
+def test_subcommands_write_what_all_writes(request, tmp_path, capsys, dataset, ignored):
     data = request.getfixturevalue(dataset)
     whole = tmp_path / "all"
     code = run_cli("all", data, whole)
     expected = {p.name: p.read_bytes() for p in whole.iterdir()}
     series = sorted(n[: -len("_metrics.csv")] for n in expected if n.endswith("_metrics.csv"))
-    runs = [["validate"], ["metrics"], ["correlate"]] + [
-        ["plot", "--metric", attr, "--series", name] for name in series for attr in METRIC_BY_ATTR
+    runs = [["validate", *ignored], ["metrics"], ["correlate"]] + [
+        ["plot", "--metric", attr, "--series", name, *ignored] for name in series for attr in METRIC_BY_ATTR
     ]
     written = {}
     for number, (command, *extra) in enumerate(runs):

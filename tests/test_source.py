@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import inspect
 import re
 
 import charnet
-from charnet import errors, report
+from charnet import cli, errors, report
 
 from support import REPO_ROOT
 
@@ -158,3 +159,48 @@ def test_readme_call_forms_match_the_signatures():
         if params != actual:
             stale.append(f"README.md:{number}: {name}({params}) is {name}({actual})")
     assert stale == []
+
+
+def _readme_section(title: str) -> str:
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_synopsis_names_each_subcommands_options():
+    # a synopsis line `charnet <a|b> ...` or `charnet a ...` documents the
+    # options it names for each subcommand it names
+    synopsis = _readme_section("CLI").split("```\n", 2)[1]
+    documented: dict[str, set[str]] = {}
+    for line in re.split(r"^(?=charnet )", synopsis, flags=re.M)[1:]:
+        for name in re.match(r"charnet <?([\w|]+)", line)[1].split("|"):
+            documented.setdefault(name, set()).update(re.findall(r"--[\w-]+", line))
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        name: {option for action in parser._actions for option in action.option_strings} - {"-h", "--help"}
+        for name, parser in commands.choices.items()
+    }
+    assert documented == defined
+
+
+def _names_a_test(node_id: str) -> bool:
+    """Whether node_id, `tests/file.py::[TestClass::]test_function`, names a
+    test function that the file defines."""
+    path, *names = node_id.split("::")
+    file = REPO_ROOT / path
+    if not (names and file.is_file() and names[-1].startswith("test_")):
+        return False
+    scope = ast.parse(file.read_text(encoding="utf-8")).body
+    for name, kind in zip(names, [ast.ClassDef] * (len(names) - 1) + [ast.FunctionDef]):
+        node = next((n for n in scope if isinstance(n, kind) and n.name == name), None)
+        if node is None:
+            return False
+        scope = node.body
+    return True
+
+
+def test_readme_promises_name_existing_tests():
+    # every row below the header and its rule; the last cell is `node id`
+    rows = [line for line in _readme_section("Promises").splitlines() if line.startswith("|")][2:]
+    node_ids = [row.rsplit("|", 2)[1].strip().strip("`") for row in rows]
+    assert len(node_ids) >= 10
+    assert [node_id for node_id in node_ids if not _names_a_test(node_id)] == []
