@@ -54,7 +54,7 @@ def _echo_lines(args: argparse.Namespace) -> list[str]:
     # trees are comparable across working directories
     lines = [
         f"efficiency mode: {args.efficiency}",
-        f"eigen tol: {args.eigen_tol:g}",
+        f"eigen tol: {args.eigen_tol!r}",
         f"eigen max iterations: {args.eigen_max_iter}",
         "std convention: population",
     ]
@@ -64,6 +64,8 @@ def _echo_lines(args: argparse.Namespace) -> list[str]:
 
 
 def _write(path: Path, content: str) -> None:
+    # --out is made by the first write, so a refused run leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8", newline="")
     print(f"wrote {path}")
 
@@ -76,7 +78,6 @@ def _run(args: argparse.Namespace) -> int:
         raise FormatError(f"segments directory not found: {args.segments}")
     if not args.ratings.is_file():
         raise FormatError(f"ratings file not found: {args.ratings}")
-    args.out.mkdir(parents=True, exist_ok=True)
     files = sorted(args.segments.glob("*.json"))
     if not files:
         raise FormatError(f"no episode files found in {args.segments}")

@@ -22,6 +22,7 @@ import io
 import json
 import math
 import re
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import FormatError, InvariantError
@@ -31,7 +32,6 @@ from .graph import (
     EpisodeKey,
     SegmentGraph,
     _add_edge,
-    _Record,
     aggregate_segments,
     normalize_character,
 )
@@ -42,15 +42,8 @@ RATING_MIN = 1.0
 RATING_MAX = 10.0
 
 
-class ParsedEpisode(_Record):
-    """One parsed episode file: identity, segments in file order, parse warnings."""
-
-    __slots__ = ("key", "segments", "warnings")
-
-    def __init__(self, key: EpisodeKey, segments: list[SegmentGraph], warnings: list[str] | None = None) -> None:
-        self.key = key
-        self.segments = segments
-        self.warnings = [] if warnings is None else warnings
+ParsedEpisode = namedtuple("ParsedEpisode", "key segments warnings")
+ParsedEpisode.__doc__ = "One parsed episode file: identity, segments in file order, parse warnings."
 
 
 def _require(mapping: dict, key: str, where: str):

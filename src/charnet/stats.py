@@ -18,45 +18,22 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import namedtuple
 
 from .errors import DegenerateInputError, DomainError
-from .graph import EpisodeKey, _Record
+from .graph import EpisodeKey
 from .metrics import METRICS, EpisodeMetrics
 
 
-class CorrelationResult(_Record):
-    """One metric column against the review column.
+CorrelationResult = namedtuple("CorrelationResult", "metric_name rho p_value note permutation_p", defaults=("", None))
+CorrelationResult.__doc__ = """One metric column against the review column.
 
-    rho and p_value are None when the column was degenerate (constant);
-    note says why.  A result's stars are significance_stars(p_value).
-    """
+rho and p_value are None when the column was degenerate (constant); note
+says why.  A result's stars are significance_stars(p_value).
+"""
 
-    __slots__ = ("metric_name", "rho", "p_value", "note", "permutation_p")
-
-    def __init__(
-        self,
-        metric_name: str,
-        rho: float | None,
-        p_value: float | None,
-        note: str = "",
-        permutation_p: float | None = None,
-    ) -> None:
-        self.metric_name = metric_name
-        self.rho = rho
-        self.p_value = p_value
-        self.note = note
-        self.permutation_p = permutation_p
-
-
-class CorrelationReport(_Record):
-    """All 12 metric correlations for one series, over n rated episodes."""
-
-    __slots__ = ("results", "n", "excluded")
-
-    def __init__(self, results: list[CorrelationResult] | None = None, n: int = 0, excluded: int = 0) -> None:
-        self.results = [] if results is None else results
-        self.n = n
-        self.excluded = excluded
+CorrelationReport = namedtuple("CorrelationReport", "results n excluded")
+CorrelationReport.__doc__ = "All 12 metric correlations for one series, over n rated episodes."
 
 
 def significance_stars(p: float) -> str:
@@ -286,16 +263,16 @@ def correlate_all(rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float]) 
     """
     usable, reviews, excluded = _rated(rows, ratings)
     n = len(usable)
-    report = CorrelationReport(n=n, excluded=excluded)
+    results = []
     for column in METRICS:
         values = [float(getattr(row, column.attr)) for row in usable]
         try:
             rho = _rho(*_paired(values, reviews))
         except DegenerateInputError as exc:
-            report.results.append(CorrelationResult(column.label, None, None, note=str(exc)))
+            results.append(CorrelationResult(column.label, None, None, note=str(exc)))
             continue
-        report.results.append(CorrelationResult(column.label, rho, spearman_pvalue(rho, n)))
-    return report
+        results.append(CorrelationResult(column.label, rho, spearman_pvalue(rho, n)))
+    return CorrelationReport(results, n, excluded)
 
 
 def add_permutation_pvalues(
@@ -304,7 +281,8 @@ def add_permutation_pvalues(
     permutations: int,
     seed: int,
 ) -> None:
-    """Fill permutation_p in every tested row of each series' report.
+    """Replace every tested row of each series' report.results with a copy
+    that carries its permutation_p.
 
     Each report is correlate_all's for the rows it is paired with.  The
     permutations floor is checked first, even when no row is tested.
@@ -316,12 +294,12 @@ def add_permutation_pvalues(
     groups: dict[int, list] = {}
     for rows, report in series:
         usable, reviews, _ = _rated(rows, ratings)
-        tested = [(column, result) for column, result in zip(METRICS, report.results) if result.rho is not None]
+        tested = [i for i, result in enumerate(report.results) if result.rho is not None]
         if tested:
-            columns = [_centered([float(getattr(row, column.attr)) for row in usable]) for column, _ in tested]
-            groups.setdefault(len(usable), []).append(([result for _, result in tested], columns, _centered(reviews)))
+            columns = [_centered([float(getattr(row, METRICS[i].attr)) for row in usable]) for i in tested]
+            groups.setdefault(len(usable), []).append((report.results, tested, columns, _centered(reviews)))
     for group in groups.values():
-        pvalues = _permutation_pvalues([(columns, cy) for _, columns, cy in group], permutations, seed)
-        for (results, _, _), values in zip(group, pvalues):
-            for result, value in zip(results, values):
-                result.permutation_p = value
+        pvalues = _permutation_pvalues([(columns, cy) for _, _, columns, cy in group], permutations, seed)
+        for (results, tested, _, _), values in zip(group, pvalues):
+            for i, value in zip(tested, values):
+                results[i] = results[i]._replace(permutation_p=value)

@@ -266,6 +266,7 @@ class TestValidate:
         result = self._validate_in_child(segments, clean_dataset[1], out, command="all")
         assert result.returncode in (0, 1, 2)
         assert "Traceback" not in result.stderr
+        assert result.returncode != 2 or not out.exists()
         written = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert all(segments in p.parents or out in p.parents for p in written)
 
@@ -519,6 +520,7 @@ class TestPlot:
         )
         assert code == 2
         assert "unknown series" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_no_rated_episodes(self, tmp_path, capsys):
         segments_dir = tmp_path / "segments"
@@ -618,7 +620,7 @@ class TestAll:
         captured = capsys.readouterr()
         assert "error: series 'beta': need at least 4 rated episodes, got 3" in captured.err
         assert captured.out == ""
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_correlation_footer_holds_notes_in_echo_order(self, messy_dataset, tmp_path, capsys):
         out = tmp_path / "out"
@@ -639,6 +641,16 @@ class TestAll:
             "# stars: ** p < 0.01, * p < 0.05 (strict thresholds, no exceptions)",
             *(f"# permutation pValue {label}: {p}" for label, p in zip(labels, pvalues)),
         ]
+
+    def test_close_eigen_tols_write_different_footers(self, clean_dataset, tmp_path, capsys):
+        # 1.000004e-10 and 1e-10 print alike to 6 significant digits
+        footers = []
+        for tol in ("1e-10", "1.000004e-10"):
+            out = tmp_path / tol
+            assert run_cli("correlate", clean_dataset, out, "--eigen-tol", tol, "--format", "csv") == 0
+            lines = (out / "alpha_correlations.csv").read_text(encoding="utf-8").splitlines()
+            footers.append([line for line in lines if line.startswith("# eigen tol:")])
+        assert footers == [["# eigen tol: 1e-10"], ["# eigen tol: 1.000004e-10"]]
 
     def test_every_report_carries_each_echo_line_once(self, messy_dataset, tmp_path, capsys):
         flags = ["--permutations", "1000", "--seed", "3"]

@@ -709,7 +709,8 @@ class TestLoadDataset:
 
         def parse(data):
             parsed = parse_segment_file(data)
-            results.append(weakref.ref(parsed))
+            # a tuple cannot be weakly referenced; its segment graphs can
+            results.append(weakref.ref(parsed.segments[0]))
             return parsed
 
         def ratings(data):

@@ -1,5 +1,6 @@
-"""Value semantics of the record types: the immutable key and config
-tuples, and the mutable graph, row and report records."""
+"""Value semantics of the record types: the namedtuples (the key, the
+config and the records built in one step), and the mutable graph and row
+records that are filled step by step."""
 
 from __future__ import annotations
 
@@ -53,20 +54,35 @@ def test_immutable_records_are_their_field_tuples():
     assert MetricsConfig()._replace(efficiency_mode="neighborhood") == MetricsConfig("neighborhood")
 
 
-MUTABLE_RECORDS = [
-    SegmentGraph(index=0),
-    EpisodeGraph(key=KEY),
-    ParsedEpisode(key=KEY, segments=[]),
-    EpisodeMetrics(key=KEY),
-    CorrelationResult("Density", None, None),
-    CorrelationReport(),
-]
+MUTABLE_RECORDS = [SegmentGraph(index=0), EpisodeGraph(key=KEY), EpisodeMetrics(key=KEY)]
 
 
 @pytest.mark.parametrize("record", MUTABLE_RECORDS, ids=lambda record: type(record).__name__)
 def test_mutable_records_are_unhashable(record):
     with pytest.raises(TypeError):
         hash(record)
+
+
+@pytest.mark.parametrize("record", MUTABLE_RECORDS, ids=lambda record: type(record).__name__)
+def test_mutable_records_equal_only_records_of_their_class(record):
+    assert record != tuple(getattr(record, name) for name in record.__slots__)
+    assert all(record != other for other in MUTABLE_RECORDS if other is not record)
+
+
+BUILT_RECORDS = [
+    ParsedEpisode(KEY, [SegmentGraph(index=0)], []),
+    CorrelationResult("Density", 0.5, 0.04),
+    CorrelationReport([CorrelationResult("Density", None, None, note="x is constant")], 5, 1),
+]
+
+
+@pytest.mark.parametrize("record", BUILT_RECORDS, ids=lambda record: type(record).__name__)
+def test_built_records_are_their_field_tuples(record):
+    assert record == tuple(getattr(record, name) for name in record._fields)
+    last = record._fields[-1]
+    changed = record._replace(**{last: 7})
+    assert getattr(changed, last) == 7 and changed[:-1] == record[:-1]
+    assert getattr(record, last) != 7
 
 
 def _graph(**facts) -> EpisodeGraph:

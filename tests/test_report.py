@@ -174,7 +174,7 @@ class TestCorrelationsCsv:
 
     def test_stars_follow_the_p_value(self):
         results = [CorrelationResult("Density", 0.1, 0.9), CorrelationResult("Efficiency", 0.7, 0.005)]
-        lines = render_correlations(CorrelationReport(results=results, n=26), [], "csv").splitlines()
+        lines = render_correlations(CorrelationReport(results=results, n=26, excluded=0), [], "csv").splitlines()
         assert lines[1:3] == ["Density,0.100,0.900,", "Efficiency,0.700,0.005,**"]
 
     def test_footer_fields(self):
