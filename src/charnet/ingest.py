@@ -40,6 +40,8 @@ RATINGS_HEADER = ("series", "season", "episode", "rating")
 
 RATING_MIN = 1.0
 RATING_MAX = 10.0
+# a file name holds 255 bytes, and the longest report name is <series>_transitivity_scatter.svg
+SERIES_MAX_BYTES = 230
 
 
 ParsedEpisode = namedtuple("ParsedEpisode", "key segments warnings")
@@ -78,6 +80,9 @@ def _file_safe(series: str, where: str) -> None:
         raise FormatError(
             f"{where}: series {series!r} must not contain '/', '\\' or control characters"
         )
+    # surrogatepass never raises: a lone surrogate is _line_safe's to refuse
+    if len(series.encode("utf-8", "surrogatepass")) > SERIES_MAX_BYTES:
+        raise FormatError(f"{where}: series {series!r} is longer than {SERIES_MAX_BYTES} UTF-8 bytes")
 
 
 def _line_safe(text: str, what: str, where: str = "episode file") -> None:

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from .errors import ConvergenceError, DegenerateGraphError, DomainError, InvariantError
-from .graph import CharacterId, EpisodeGraph, EpisodeKey, _check_edge, _Record
+from .graph import CharacterId, EpisodeGraph, _check_edge
 
 
 MetricsConfig = namedtuple(
@@ -72,19 +72,13 @@ METRICS: tuple[MetricColumn, ...] = (
 METRIC_BY_ATTR = {column.attr: column for column in METRICS}
 
 
-class EpisodeMetrics(_Record):
-    """The 12-column metric row for one episode: one attribute per METRICS
-    column, 0 until computed (an int in integer columns), then warnings."""
-
-    __slots__ = ("key", *(column.attr for column in METRICS), "warnings")
-
-    def __init__(self, key: EpisodeKey, *, warnings: list[str] | None = None, **cells) -> None:
-        self.key = key
-        for column in METRICS:
-            setattr(self, column.attr, cells.pop(column.attr, 0 if column.integer else 0.0))
-        if cells:
-            raise TypeError(f"EpisodeMetrics() got an unexpected keyword argument {next(iter(cells))!r}")
-        self.warnings = [] if warnings is None else warnings
+EpisodeMetrics = namedtuple(
+    "EpisodeMetrics",
+    ["key", *(column.attr for column in METRICS), "warnings"],
+    defaults=(*(0 if column.integer else 0.0 for column in METRICS), ()),
+)
+EpisodeMetrics.__doc__ = """The 12-column metric row for one episode: its key, one cell per METRICS
+column, 0 unless computed (an int in integer columns), then a tuple of warnings."""
 
 
 EFFICIENCY_MODES = ("component-mean", "neighborhood")
@@ -396,7 +390,7 @@ def summarize(scores: dict[CharacterId, float]) -> tuple[float, float]:
 
 
 def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = None) -> EpisodeMetrics:
-    """Fill all 12 metric columns for one episode.
+    """All 12 metric columns of one episode, built as one row.
 
     A config outside check_efficiency_mode's or check_eigen's rule raises
     DomainError before the graph is read, whatever the graph.  An episode
@@ -410,26 +404,25 @@ def compute_episode_metrics(graph: EpisodeGraph, config: MetricsConfig | None = 
     config = config or _DEFAULT
     check_efficiency_mode(config.efficiency_mode)
     check_eigen(config.eigen_tol, config.eigen_max_iter)
-    row = EpisodeMetrics(key=graph.key)
     index = _Index(graph)
-    row.active_nodes = active_nodes(index)
-    if row.active_nodes == 0:
-        row.warnings.append("DegenerateGraph: no active nodes, all metrics 0")
-        return row
-    row.density = density(index)
-    row.efficiency = efficiency_metric(index, config.efficiency_mode)
-    row.transitivity = transitivity(index)
+    cells = {"active_nodes": active_nodes(index)}
+    if cells["active_nodes"] == 0:
+        return EpisodeMetrics(graph.key, warnings=("DegenerateGraph: no active nodes, all metrics 0",))
+    warnings = []
+    cells["density"] = density(index)
+    cells["efficiency"] = efficiency_metric(index, config.efficiency_mode)
+    cells["transitivity"] = transitivity(index)
     try:
-        row.strength_max, row.strength_std = summarize(node_strengths(index))
+        cells["strength_max"], cells["strength_std"] = summarize(node_strengths(index))
     except OverflowError:  # strengths of weights near the float limit
-        row.warnings.append("strength: summary overflows a float")
-    degree_max, row.degree_std = summarize(degree_vector(index))
-    row.degree_max = int(degree_max)
-    row.harmonic_max, row.harmonic_std = summarize(harmonic_vector(index))
+        warnings.append("strength: summary overflows a float")
+    degree_max, cells["degree_std"] = summarize(degree_vector(index))
+    cells["degree_max"] = int(degree_max)
+    cells["harmonic_max"], cells["harmonic_std"] = summarize(harmonic_vector(index))
     try:
-        row.eigen_max, row.eigen_std = summarize(
+        cells["eigen_max"], cells["eigen_std"] = summarize(
             eigenvector_vector(index, config.eigen_tol, config.eigen_max_iter)
         )
     except ConvergenceError as exc:
-        row.warnings.append(f"eigenvector: {exc}")
-    return row
+        warnings.append(f"eigenvector: {exc}")
+    return EpisodeMetrics(graph.key, warnings=tuple(warnings), **cells)

@@ -622,6 +622,24 @@ class TestAll:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "series, code", [("x" * 230, 0), ("x" * 231, 2), ("\u00e9" * 116, 2)], ids=["230", "231", "116-two-byte"]
+    )
+    def test_series_name_bound_keeps_every_report_name_writable(self, tmp_path, capsys, series, code):
+        # the longest report name, <series>_transitivity_scatter.svg, is 255 bytes at the bound
+        segments, ratings = build_demo_dataset(tmp_path / "data", series=("s",), episodes=5)
+        for path in segments.glob("*.json"):
+            text = path.read_text(encoding="utf-8").replace('"series": "s"', f'"series": "{series}"')
+            path.write_text(text, encoding="utf-8")
+        ratings.write_text(ratings.read_text(encoding="utf-8").replace("\ns,", f"\n{series},"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("all", (segments, ratings), out) == code
+        if code:
+            assert "is longer than 230 UTF-8 bytes" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert len(list(out.iterdir())) == 17
+
     def test_correlation_footer_holds_notes_in_echo_order(self, messy_dataset, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("all", messy_dataset, out, "--permutations", "1000", "--seed", "3") == 1

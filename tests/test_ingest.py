@@ -21,6 +21,7 @@ from charnet.ingest import (
     parse_segment_file,
     serialize_episode,
 )
+from charnet.metrics import METRICS
 from charnet.report import render_manifest
 
 from support import build_demo_dataset, build_messy_dataset, random_segments
@@ -175,6 +176,18 @@ class TestParseSegmentFile:
         where = "episode file: series" if "series" in overrides else "segment 0: character name"
         with pytest.raises(FormatError, match=f"^{where} .* is not encodable as UTF-8$"):
             parse_segment_file(minimal_file(**overrides))
+
+    @pytest.mark.parametrize("series", ["x" * 230, "\u00e9" * 115], ids=["230-ascii", "115-two-byte"])
+    def test_series_at_the_byte_bound(self, series):
+        assert parse_segment_file(minimal_file(series=series)).key.series == series
+
+    @pytest.mark.parametrize(
+        "series", ["x" * 231, "\u00e9" * 116, "\ud800" + "x" * 228], ids=["231-ascii", "116-two-byte", "surrogate"]
+    )
+    def test_series_past_the_byte_bound(self, series):
+        # surrogatepass counts a lone surrogate as 3 bytes; a shorter name meets test_lone_surrogate's error
+        with pytest.raises(FormatError, match=r"^episode file: series .* is longer than 230 UTF-8 bytes$"):
+            parse_segment_file(minimal_file(series=series))
 
     @pytest.mark.parametrize(
         "name",
@@ -528,6 +541,12 @@ def test_parse_matches_add_interaction(segments):
         ]
 
 
+def test_series_bound_leaves_room_for_the_longest_report_name():
+    # a file name holds 255 bytes, and each report name is the series plus a suffix
+    longest = max(len(f"_{column.attr}_scatter.svg".encode()) for column in METRICS)
+    assert ingest.SERIES_MAX_BYTES == 255 - longest
+
+
 class TestParseRatingsCsv:
     def test_basic_rows(self):
         table = parse_ratings_csv(
@@ -592,7 +611,8 @@ class TestParseRatingsCsv:
         assert str(raised.value) == "ratings CSV is unreadable: field larger than field limit (131072)"
 
     @pytest.mark.parametrize(
-        "series", ["../escaped", "a/b", "a\\b", "a\x7fb", "a\tb", "a\u2028b", "a\u2029b"]
+        "series",
+        ["../escaped", "a/b", "a\\b", "a\x7fb", "a\tb", "a\u2028b", "a\u2029b", pytest.param("x" * 231, id="231-bytes")],
     )
     def test_series_must_be_file_safe(self, series):
         with pytest.raises(FormatError, match="line 2: series"):

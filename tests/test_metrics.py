@@ -402,7 +402,7 @@ class TestComputeEpisodeMetrics:
         assert (row.harmonic_max, row.harmonic_std) == (1.0, 0.0)
         assert row.eigen_max == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
         assert row.eigen_std == pytest.approx(0.0, abs=1e-9)
-        assert row.warnings == []
+        assert row.warnings == ()
 
     def test_uniform_triangle(self):
         row = compute_episode_metrics(graph_from(TRIANGLE))
@@ -449,13 +449,13 @@ class TestComputeEpisodeMetrics:
     def test_strength_overflow_becomes_warning(self, edges):
         row = compute_episode_metrics(graph_from(edges))
         assert (row.strength_max, row.strength_std) == (0.0, 0.0)
-        assert row.warnings == ["strength: summary overflows a float"]
+        assert row.warnings == ("strength: summary overflows a float",)
 
     def test_equal_strengths_near_float_limit_need_no_sum(self):
         # summarize takes no mean of equal values, so no partial sum can overflow
         row = compute_episode_metrics(graph_from({("A", "B"): 1e308}))
         assert (row.strength_max, row.strength_std) == (1e308, 0.0)
-        assert row.warnings == []
+        assert row.warnings == ()
 
     @pytest.mark.parametrize(
         "config, message",
@@ -586,7 +586,7 @@ class TestSharedIndex:
             built.clear()
             g = graph_from(edges)
             row = compute_episode_metrics(g, MetricsConfig(efficiency_mode=mode))
-            assert row.warnings == []
+            assert row.warnings == ()
             assert built == [g], edges
 
     def test_rows_from_threads_match_rows_in_turn(self):
@@ -609,7 +609,7 @@ class TestSharedIndex:
         for edges in (TRIANGLE, PATH4, STAR3, TWO_EDGES):
             whole.clear()
             row = compute_episode_metrics(graph_from(edges), MetricsConfig(efficiency_mode=mode))
-            assert row.warnings == []
+            assert row.warnings == ()
             assert whole.count(True) == 1, edges
             if mode == "component-mean":  # harmonic and efficiency share that one
                 assert whole == [True], edges
@@ -809,7 +809,7 @@ def test_episode_row_bit_equal_to_public_functions(layout):
     assert (row.degree_max, row.degree_std) == (int(degree_max), degree_std)
     assert (row.harmonic_max, row.harmonic_std) == summarize(harmonic_vector(g))
     assert (row.eigen_max, row.eigen_std) == summarize(eigenvector_vector(g))
-    assert row.warnings == []
+    assert row.warnings == ()
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,6 @@
 """Value semantics of the record types: the namedtuples (the key, the
-config and the records built in one step), and the mutable graph and row
-records that are filled step by step."""
+config and the records built in one step, metric rows included), and the
+mutable graph records that are filled step by step."""
 
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ def test_immutable_records_are_their_field_tuples():
     assert MetricsConfig()._replace(efficiency_mode="neighborhood") == MetricsConfig("neighborhood")
 
 
-MUTABLE_RECORDS = [SegmentGraph(index=0), EpisodeGraph(key=KEY), EpisodeMetrics(key=KEY)]
+MUTABLE_RECORDS = [SegmentGraph(index=0), EpisodeGraph(key=KEY)]
 
 
 @pytest.mark.parametrize("record", MUTABLE_RECORDS, ids=lambda record: type(record).__name__)
@@ -73,6 +73,7 @@ BUILT_RECORDS = [
     ParsedEpisode(KEY, [SegmentGraph(index=0)], []),
     CorrelationResult("Density", 0.5, 0.04),
     CorrelationReport([CorrelationResult("Density", None, None, note="x is constant")], 5, 1),
+    EpisodeMetrics(KEY, density=0.5, warnings=("w",)),
 ]
 
 
@@ -123,8 +124,8 @@ class TestEpisodeMetrics:
             EpisodeMetrics(key=KEY, bogus=1)
 
     def test_attributes_are_key_warnings_and_the_metric_columns(self):
-        public = {name for name in dir(EpisodeMetrics(key=KEY)) if not name.startswith("_")}
-        assert public == {"key", "warnings", *(column.attr for column in METRICS)}
+        assert EpisodeMetrics._fields == ("key", *(column.attr for column in METRICS), "warnings")
+        assert EpisodeMetrics(key=KEY).warnings == ()
 
     def test_cells_start_at_zero_of_their_column_type(self):
         row = EpisodeMetrics(key=KEY)
@@ -135,7 +136,13 @@ class TestEpisodeMetrics:
     def test_equality_compares_cells(self):
         assert EpisodeMetrics(key=KEY, density=0.5) == EpisodeMetrics(key=KEY, density=0.5)
         assert EpisodeMetrics(key=KEY, density=0.5) != EpisodeMetrics(key=KEY, density=0.25)
-        assert EpisodeMetrics(key=KEY) != EpisodeMetrics(key=KEY, warnings=["w"])
+        assert EpisodeMetrics(key=KEY) != EpisodeMetrics(key=KEY, warnings=("w",))
+
+    def test_rows_are_immutable_and_hashable(self):
+        row = EpisodeMetrics(KEY, 2, 1.0)
+        with pytest.raises(AttributeError):
+            row.density = 0.5
+        assert row.density == 1.0 and hash(row) == hash(EpisodeMetrics(key=KEY, active_nodes=2, density=1.0))
 
 
 def test_report_equality_compares_results():

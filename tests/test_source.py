@@ -89,13 +89,8 @@ CHARNET_ERRORS = {
 
 def test_every_raise_is_a_charnet_error():
     # the CLI turns a CharnetError into exit code 2 and anything else into
-    # exit code 3, a bug; EpisodeMetrics copies Python's own TypeError for
-    # an unknown keyword
-    assert [
-        (where, name)
-        for where, name in _raised_classes()
-        if name not in CHARNET_ERRORS and not (where.startswith("metrics.py:") and name == "TypeError")
-    ] == []
+    # exit code 3, a bug
+    assert [(where, name) for where, name in _raised_classes() if name not in CHARNET_ERRORS] == []
 
 
 def test_every_error_class_is_raised():
@@ -108,6 +103,7 @@ def test_every_error_class_is_raised():
 RULE_TEXTS = {
     "self-loop on": "graph.py",
     "needs a positive finite weight": "graph.py",
+    "UTF-8 bytes": "ingest.py",
     "must be a finite number > 0": "metrics.py",
     "must be at least 1": "metrics.py",
     "permutation test needs": "stats.py",
