@@ -48,24 +48,24 @@ ParsedEpisode = namedtuple("ParsedEpisode", "key segments warnings")
 ParsedEpisode.__doc__ = "One parsed episode file: identity, segments in file order, parse warnings."
 
 
-def _require(mapping: dict, key: str, where: str):
+def _require(mapping: dict, key: str):
     if not isinstance(mapping, dict):
-        raise FormatError(f"{where}: expected an object, got {type(mapping).__name__}")
+        raise FormatError(f"expected an object, got {type(mapping).__name__}")
     if key not in mapping:
-        raise FormatError(f"{where}: missing field {key!r}")
+        raise FormatError(f"missing field {key!r}")
     return mapping[key]
 
 
-def _positive_int(value, what: str, where: str) -> int:
+def _positive_int(value, what: str) -> int:
     # bool is an int subtype; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise FormatError(f"{where}: {what} must be a positive integer, got {value!r}")
+        raise FormatError(f"{what} must be a positive integer, got {value!r}")
     return value
 
 
-def _text(value, what: str, where: str) -> str:
+def _text(value, what: str) -> str:
     if not isinstance(value, str):
-        raise FormatError(f"{where}: {what} must be a string, got {type(value).__name__}")
+        raise FormatError(f"{what} must be a string, got {type(value).__name__}")
     return value
 
 
@@ -74,36 +74,41 @@ def _text(value, what: str, where: str) -> str:
 _has_control = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]").search
 
 
-def _file_safe(series: str, where: str) -> None:
-    # report file names start with the series name: no path separators, no control characters
-    if "/" in series or "\\" in series or _has_control(series):
-        raise FormatError(
-            f"{where}: series {series!r} must not contain '/', '\\' or control characters"
-        )
-    # surrogatepass never raises: a lone surrogate is _line_safe's to refuse
-    if len(series.encode("utf-8", "surrogatepass")) > SERIES_MAX_BYTES:
-        raise FormatError(f"{where}: series {series!r} is longer than {SERIES_MAX_BYTES} UTF-8 bytes")
-
-
-def _line_safe(text: str, what: str, where: str = "episode file") -> None:
+def _line_safe(text: str, what: str) -> None:
     """Reject text that no report line can hold: control characters, or lone
     surrogates, which JSON escapes and undecodable file-name bytes give."""
     if _has_control(text):
-        raise FormatError(f"{where}: {what} {text!r} must not contain control characters")
+        raise FormatError(f"{what} {text!r} must not contain control characters")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise FormatError(f"{where}: {what} {text!r} is not encodable as UTF-8") from exc
+        raise FormatError(f"{what} {text!r} is not encodable as UTF-8") from exc
 
 
-def _weight(value, where: str):
+def _series(value) -> str:
+    """A series name, trimmed and checked as report file names and lines
+    need; the one series rule of episode files and the ratings CSV."""
+    series = _text(value, "series").strip()
+    if not series:
+        raise FormatError("series is empty")
+    # report file names start with the series name: no path separators, no control characters
+    if "/" in series or "\\" in series or _has_control(series):
+        raise FormatError(f"series {series!r} must not contain '/', '\\' or control characters")
+    # surrogatepass never raises: a lone surrogate is _line_safe's to refuse
+    if len(series.encode("utf-8", "surrogatepass")) > SERIES_MAX_BYTES:
+        raise FormatError(f"series {series!r} is longer than {SERIES_MAX_BYTES} UTF-8 bytes")
+    _line_safe(series, "series")
+    return series
+
+
+def _weight(value):
     # bool is an int subtype; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{where}: edge weight must be a number, got {value!r}")
+        raise FormatError(f"edge weight must be a number, got {value!r}")
     return value
 
 
-def _character(names: dict[str, str], raw: str, where: str) -> str:
+def _character(names: dict[str, str], raw: str) -> str:
     """The checked form of a raw name, checked on its first sight in a file.
 
     A name enters the memo only once every check has passed, so a memo hit
@@ -112,21 +117,9 @@ def _character(names: dict[str, str], raw: str, where: str) -> str:
     name = names.get(raw)
     if name is None:
         name = normalize_character(raw)
-        _line_safe(name, "character name", where)
+        _line_safe(name, "character name")
         names[raw] = name
     return name
-
-
-def _episode_key(doc) -> EpisodeKey:
-    """An episode document's key, checked as report names and lines need."""
-    series = _text(_require(doc, "series", "episode file"), "series", "episode file").strip()
-    if not series:
-        raise FormatError("episode file: series must be a non-empty string")
-    _file_safe(series, "episode file")
-    _line_safe(series, "series")
-    season = _positive_int(_require(doc, "season", "episode file"), "season", "episode file")
-    episode = _positive_int(_require(doc, "episode", "episode file"), "episode", "episode file")
-    return EpisodeKey(series=series, season=season, episode=episode)
 
 
 def parse_segment_file(data: bytes | str) -> ParsedEpisode:
@@ -156,37 +149,45 @@ def parse_segment_file(data: bytes | str) -> ParsedEpisode:
 def _read_episode(doc) -> ParsedEpisode:
     """parse_segment_file's reading of a decoded document; serialize_episode
     reads what it writes through it too."""
-    key = _episode_key(doc)
-
-    segments_json = _require(doc, "segments", "episode file")
-    if not isinstance(segments_json, list):
-        raise FormatError("episode file: segments must be a list")
+    try:
+        key = EpisodeKey(
+            series=_series(_require(doc, "series")),
+            season=_positive_int(_require(doc, "season"), "season"),
+            episode=_positive_int(_require(doc, "episode"), "episode"),
+        )
+        segments_json = _require(doc, "segments")
+        if not isinstance(segments_json, list):
+            raise FormatError("segments must be a list")
+        if not segments_json:
+            raise FormatError("segments list is empty")
+    except FormatError as exc:
+        raise FormatError(f"episode file: {exc}") from exc
 
     segments: list[SegmentGraph] = []
     warnings: list[str] = []
     names: dict[str, str] = {}  # raw name -> checked name
     for position, seg_json in enumerate(segments_json):
         where = f"segment {position}"
-        if not isinstance(seg_json, dict):
-            raise FormatError(f"{where}: expected an object, got {type(seg_json).__name__}")
-        index = seg_json.get("index", position)
-        if isinstance(index, bool) or not isinstance(index, int) or index != position:
-            raise FormatError(f"{where}: index must equal the segment's position {position}, got {index!r}")
-        seg = SegmentGraph(index=position)
-
         try:
+            if not isinstance(seg_json, dict):
+                raise FormatError(f"expected an object, got {type(seg_json).__name__}")
+            index = seg_json.get("index", position)
+            if isinstance(index, bool) or not isinstance(index, int) or index != position:
+                raise FormatError(f"index must equal the segment's position {position}, got {index!r}")
+            seg = SegmentGraph(index=position)
+
             nodes_json = seg_json.get("nodes", [])
             if not isinstance(nodes_json, list):
-                raise FormatError(f"{where}: nodes must be a list")
+                raise FormatError("nodes must be a list")
             try:
                 seg.nodes.update(map(names.__getitem__, nodes_json))
             except (KeyError, TypeError):  # a name not yet checked: check the list from its start
                 for name in nodes_json:
-                    seg.nodes.add(_character(names, _text(name, "node name", where), where))
+                    seg.nodes.add(_character(names, _text(name, "node name")))
 
             edges_json = seg_json.get("edges", [])
             if not isinstance(edges_json, list):
-                raise FormatError(f"{where}: edges must be a list")
+                raise FormatError("edges must be a list")
             nodes, edges = seg.nodes, seg.edges
             for edge_json in edges_json:
                 try:
@@ -194,10 +195,10 @@ def _read_episode(doc) -> ParsedEpisode:
                     b = names[edge_json["b"]]
                     w = edge_json["w"]
                 except (KeyError, TypeError):  # a name not yet checked, or a malformed edge
-                    a = _text(_require(edge_json, "a", where), "edge endpoint", where)
-                    b = _text(_require(edge_json, "b", where), "edge endpoint", where)
-                    w = _weight(_require(edge_json, "w", where), where)
-                    a, b = _character(names, a, where), _character(names, b, where)
+                    a = _text(_require(edge_json, "a"), "edge endpoint")
+                    b = _text(_require(edge_json, "b"), "edge endpoint")
+                    w = _weight(_require(edge_json, "w"))
+                    a, b = _character(names, a), _character(names, b)
                 else:
                     # a new pair, positive finite float weight: stored as _add_edge would
                     if type(w) is float and 0.0 < w <= _FLOAT_MAX and a != b:
@@ -207,18 +208,16 @@ def _read_episode(doc) -> ParsedEpisode:
                             nodes.add(a)
                             nodes.add(b)
                             continue
-                    _weight(w, where)
+                    _weight(w)
                 merged = _add_edge(seg, a, b, w)
                 if merged:
                     warnings.append(f"{where}: duplicate edge {merged[0]}-{merged[1]} merged")
-        except InvariantError as exc:
-            raise InvariantError(f"{where}: {exc}") from exc
+        except (FormatError, InvariantError) as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
         if not seg.edges:
             warnings.append(f"{where}: no edges")
         segments.append(seg)
 
-    if not segments:
-        raise FormatError("episode file: segments list is empty")
     return ParsedEpisode(key=key, segments=segments, warnings=warnings)
 
 
@@ -285,35 +284,26 @@ def parse_ratings_csv(data: bytes | str) -> dict[EpisodeKey, float]:
 
     ratings: dict[EpisodeKey, float] = {}
     for number, row in filled[1:]:
-        if len(row) != len(RATINGS_HEADER):
-            raise FormatError(
-                f"ratings CSV line {number}: expected {len(RATINGS_HEADER)} fields, got {len(row)}"
-            )
-        series_cell, season_cell, episode_cell, rating_cell = (cell.strip() for cell in row)
-        if not series_cell:
-            raise FormatError(f"ratings CSV line {number}: series is empty")
-        _file_safe(series_cell, f"ratings CSV line {number}")
-        for cell in (season_cell, episode_cell, rating_cell):
-            if "_" in cell or not cell.isascii():  # int() and float() read "1_0" and non-ASCII digits
-                raise FormatError(f"ratings CSV line {number}: {cell!r} is not a plain ASCII number")
         try:
+            if len(row) != len(RATINGS_HEADER):
+                raise FormatError(f"expected {len(RATINGS_HEADER)} fields, got {len(row)}")
+            series_cell, season_cell, episode_cell, rating_cell = (cell.strip() for cell in row)
+            series = _series(series_cell)
+            for cell in (season_cell, episode_cell, rating_cell):
+                if "_" in cell or not cell.isascii():  # int() and float() read "1_0" and non-ASCII digits
+                    raise FormatError(f"{cell!r} is not a plain ASCII number")
             season = int(season_cell)
             episode = int(episode_cell)
-        except ValueError as exc:
-            raise FormatError(f"ratings CSV line {number}: {exc}") from exc
-        if season <= 0 or episode <= 0:
-            raise FormatError(f"ratings CSV line {number}: season and episode must be positive")
-        try:
+            if season <= 0 or episode <= 0:
+                raise FormatError("season and episode must be positive")
             rating = float(rating_cell)
-        except ValueError as exc:
+            if not math.isfinite(rating) or not (RATING_MIN <= rating <= RATING_MAX):
+                raise FormatError(f"rating {rating_cell} outside [{RATING_MIN:g}, {RATING_MAX:g}]")
+            key = EpisodeKey(series=series, season=season, episode=episode)
+            if key in ratings:
+                raise FormatError(f"duplicate rating for {key}")
+        except (FormatError, ValueError) as exc:  # ValueError: int() or float() refused a cell
             raise FormatError(f"ratings CSV line {number}: {exc}") from exc
-        if not math.isfinite(rating) or not (RATING_MIN <= rating <= RATING_MAX):
-            raise FormatError(
-                f"ratings CSV line {number}: rating {rating_cell} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
-            )
-        key = EpisodeKey(series=series_cell, season=season, episode=episode)
-        if key in ratings:
-            raise FormatError(f"ratings CSV line {number}: duplicate rating for {key}")
         ratings[key] = rating
     return ratings
 
@@ -345,8 +335,10 @@ def load_dataset(
             graph.warnings = episode.warnings
             kept[episode.key] = graph
         else:
-            # the one file name that a report writes
-            _line_safe(path.name, "name", f"duplicate episode file {str(path)!r}")
+            try:  # the one file name that a report writes
+                _line_safe(path.name, "name")
+            except FormatError as exc:
+                raise FormatError(f"duplicate episode file {str(path)!r}: {exc}") from exc
             graph.warnings.append(f"duplicate episode key in {path.name}, first kept")
             graph.duplicates_dropped += 1
 

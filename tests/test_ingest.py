@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import sys
 import weakref
 
@@ -368,8 +369,9 @@ def test_parser_totality_json_values(doc):
     for blob in (text, text.encode("utf-8")):
         try:
             parse_segment_file(blob)
-        except CharnetError:
-            pass
+        except CharnetError as exc:
+            # each reader names its place once: never lost, never doubled
+            assert re.match(r"^(episode file|segment \d+): (?!episode file: |segment \d+: )", str(exc)), str(exc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -547,6 +549,22 @@ def test_series_bound_leaves_room_for_the_longest_report_name():
     assert ingest.SERIES_MAX_BYTES == 255 - longest
 
 
+@pytest.mark.parametrize(
+    "series",
+    [" ", "a/b", "a\\b", "a\tb", "x" * 231, "\ud800x"],
+    ids=["blank", "slash", "backslash", "tab", "231-bytes", "lone-surrogate"],
+)
+def test_both_readers_share_the_series_rule(series):
+    # an episode file and the ratings CSV refuse a series name alike
+    with pytest.raises(FormatError) as episode_error:
+        parse_segment_file(minimal_file(series=series))
+    with pytest.raises(FormatError) as ratings_error:
+        parse_ratings_csv(f"series,season,episode,rating\n{series},1,1,8.0\n")
+    episode_text, ratings_text = str(episode_error.value), str(ratings_error.value)
+    assert episode_text.startswith("episode file: ") and ratings_text.startswith("ratings CSV line 2: ")
+    assert episode_text.removeprefix("episode file: ") == ratings_text.removeprefix("ratings CSV line 2: ")
+
+
 class TestParseRatingsCsv:
     def test_basic_rows(self):
         table = parse_ratings_csv(
@@ -597,6 +615,7 @@ class TestParseRatingsCsv:
             (" ,1,1,8.0", "series is empty"),
             ("got,0,1,8.0", "season and episode must be positive"),
             ("got,1,1,abc", "could not convert string to float: 'abc'"),
+            ("\ud800x,1,1,8.0", "series '\\ud800x' is not encodable as UTF-8"),
         ],
     )
     def test_row_errors_name_their_line(self, row, message):
@@ -657,8 +676,8 @@ class TestParseRatingsCsv:
 def test_ratings_totality(blob):
     try:
         parse_ratings_csv(blob)
-    except CharnetError:
-        pass
+    except CharnetError as exc:
+        assert str(exc).startswith("ratings CSV"), str(exc)
 
 
 @settings(max_examples=200, deadline=None)
@@ -666,8 +685,8 @@ def test_ratings_totality(blob):
 def test_ratings_totality_bytes(blob):
     try:
         parse_ratings_csv(blob)
-    except CharnetError:
-        pass
+    except CharnetError as exc:
+        assert str(exc).startswith("ratings CSV"), str(exc)
 
 
 class TestLoadDataset:

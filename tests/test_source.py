@@ -125,6 +125,45 @@ def test_rule_texts_live_in_their_owning_module():
     ] == []
 
 
+def _names_read(tree) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_library_has_no_unused_imports_or_private_defs():
+    # no linter runs on this code, so an import that nothing reads, or a
+    # private helper that nothing calls, would stay unseen; __init__.py
+    # imports to re-export, and its __all__ names what it re-exports
+    trees = _library_trees()
+    dead = []
+    for path, tree in trees:
+        read = _names_read(tree) | (set(charnet.__all__) if path.name == "__init__.py" else set())
+        dead += [
+            f"{path.name}:{node.lineno}: import {bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for bound in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            if bound not in read
+        ]
+    for path, tree in trees:
+        imported_elsewhere = {
+            alias.name
+            for other, other_tree in trees
+            if other != path
+            for node in ast.walk(other_tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == path.stem
+            for alias in node.names
+        }
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)) or not definition.name.startswith("_"):
+                continue
+            outside = [node for node in tree.body if node is not definition]
+            if not any(definition.name in _names_read(node) for node in outside) and (
+                definition.name not in imported_elsewhere
+            ):
+                dead.append(f"{path.name}:{definition.lineno}: def {definition.name}")
+    assert dead == []
+
+
 def _readme_call_forms() -> list[tuple[int, str, str]]:
     """(line, name, parameter text) of each README code span that is
     exactly a call form `name(p1, p2=default, ...)` of a public function:
