@@ -16,16 +16,16 @@ class CharnetError(Exception):
 
 
 class FormatError(CharnetError):
-    """Input does not match the documented formats: a malformed file or
-    field, a rating outside 1-10 or given twice, no episode files, an
-    unknown output format, metric or series name."""
+    """Input does not match the documented formats: a malformed file or a
+    field other than an edge weight, a rating outside 1-10 or given twice,
+    no episode files, an unknown output format, metric or series name."""
 
 
 class InvariantError(CharnetError):
     """Well-formed input breaks a graph rule: an empty name, a self-loop, a
-    weight or weight sum that is not a positive finite float, a pair out of
-    sorted order, an edge endpoint missing from the nodes, an episode
-    without segments."""
+    weight of any type that is not a positive finite number, a weight sum
+    past the float range, a pair out of sorted order, an edge endpoint
+    missing from the nodes, an episode without segments."""
 
 
 class DomainError(CharnetError):

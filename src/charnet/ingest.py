@@ -101,13 +101,6 @@ def _series(value) -> str:
     return series
 
 
-def _weight(value):
-    # bool is an int subtype; reject it explicitly
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"edge weight must be a number, got {value!r}")
-    return value
-
-
 def _character(names: dict[str, str], raw: str) -> str:
     """The checked form of a raw name, checked on its first sight in a file.
 
@@ -197,7 +190,7 @@ def _read_episode(doc) -> ParsedEpisode:
                 except (KeyError, TypeError):  # a name not yet checked, or a malformed edge
                     a = _text(_require(edge_json, "a"), "edge endpoint")
                     b = _text(_require(edge_json, "b"), "edge endpoint")
-                    w = _weight(_require(edge_json, "w"))
+                    w = _require(edge_json, "w")
                     a, b = _character(names, a), _character(names, b)
                 else:
                     # a new pair, positive finite float weight: stored as _add_edge would
@@ -208,7 +201,6 @@ def _read_episode(doc) -> ParsedEpisode:
                             nodes.add(a)
                             nodes.add(b)
                             continue
-                    _weight(w)
                 merged = _add_edge(seg, a, b, w)
                 if merged:
                     warnings.append(f"{where}: duplicate edge {merged[0]}-{merged[1]} merged")
@@ -261,9 +253,10 @@ def parse_ratings_csv(data: bytes | str) -> dict[EpisodeKey, float]:
     one review score per episode, on the 1-10 scale."""
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8-sig")  # spreadsheets often prepend a BOM
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"ratings CSV is not valid UTF-8: {exc}") from exc
+    data = data.removeprefix("\ufeff")  # spreadsheets often prepend a BOM
 
     # csv alone splits rows, so a line break inside a quoted cell stays in
     # its cell; a row is numbered by the line it ends on
@@ -292,10 +285,8 @@ def parse_ratings_csv(data: bytes | str) -> dict[EpisodeKey, float]:
             for cell in (season_cell, episode_cell, rating_cell):
                 if "_" in cell or not cell.isascii():  # int() and float() read "1_0" and non-ASCII digits
                     raise FormatError(f"{cell!r} is not a plain ASCII number")
-            season = int(season_cell)
-            episode = int(episode_cell)
-            if season <= 0 or episode <= 0:
-                raise FormatError("season and episode must be positive")
+            season = _positive_int(int(season_cell), "season")
+            episode = _positive_int(int(episode_cell), "episode")
             rating = float(rating_cell)
             if not math.isfinite(rating) or not (RATING_MIN <= rating <= RATING_MAX):
                 raise FormatError(f"rating {rating_cell} outside [{RATING_MIN:g}, {RATING_MAX:g}]")

@@ -110,7 +110,7 @@ class TestParseSegmentFile:
             {"series": 4},
             {"segments": {}},
             {"segments": []},
-            {"segments": [{"index": 0, "edges": [{"a": "A", "b": "B", "w": "fast"}]}]},
+            {"segments": [{"index": 0, "edges": ["A-B"]}]},
             {"segments": [{"index": 0, "edges": [{"a": "A", "b": "B"}]}]},
             {"segments": [{"index": 0, "edges": [{"a": 1, "b": "B", "w": 1.0}]}]},
             {"segments": [{"index": 0, "nodes": [3], "edges": []}]},
@@ -433,8 +433,8 @@ _CHANGED = "segment 0: its nodes and edges would not read back as given"
          "segment 0: edge 'Arya'-'Jon' needs a positive finite weight, got nan"),
         (("demo", 1, 1), [_hand_segment({("Arya", "Jon"): math.inf})], InvariantError,
          "segment 0: edge 'Arya'-'Jon' needs a positive finite weight, got inf"),
-        (("demo", 1, 1), [_hand_segment({("Arya", "Jon"): True})], FormatError,
-         "segment 0: edge weight must be a number, got True"),
+        (("demo", 1, 1), [_hand_segment({("Arya", "Jon"): True})], InvariantError,
+         "segment 0: edge 'Arya'-'Jon' needs a positive finite weight, got True"),
         (("demo", 1, 1), [_hand_segment({("Jon", "Jon"): 1.0})], InvariantError, "segment 0: self-loop on 'Jon'"),
         (("demo", 1, 1), [_hand_segment({(" ", "Jon"): 1.0})], InvariantError,
          "segment 0: character name is empty after trimming"),
@@ -565,6 +565,35 @@ def test_both_readers_share_the_series_rule(series):
     assert episode_text.removeprefix("episode file: ") == ratings_text.removeprefix("ratings CSV line 2: ")
 
 
+@pytest.mark.parametrize(
+    "w",
+    [True, False, "5", None, [1], {}, 0, -4.0, 2**1024, math.nan, math.inf],
+    ids=["true", "false", "str", "null", "list", "object", "zero", "negative", "int-past-float", "nan", "inf"],
+)
+def test_parser_and_add_interaction_refuse_a_weight_alike(w):
+    # graph._check_edge is the one weight rule: a file gets its class and words
+    with pytest.raises(InvariantError) as direct:
+        add_interaction(SegmentGraph(index=0), "A", "B", w)
+    with pytest.raises(InvariantError) as parsed:
+        parse_segment_file(minimal_file(segments=[{"index": 0, "edges": [{"a": "A", "b": "B", "w": w}]}]))
+    assert str(parsed.value) == f"segment 0: {direct.value}"
+
+
+@pytest.mark.parametrize(
+    "season, episode",
+    [(0, 1), (-3, 1), (1, 0), (1, -1)],
+    ids=["season-zero", "season-negative", "episode-zero", "episode-negative"],
+)
+def test_both_readers_share_the_key_number_rule(season, episode):
+    with pytest.raises(FormatError) as episode_error:
+        parse_segment_file(minimal_file(season=season, episode=episode))
+    with pytest.raises(FormatError) as ratings_error:
+        parse_ratings_csv(f"series,season,episode,rating\ndemo,{season},{episode},8.0\n")
+    episode_text, ratings_text = str(episode_error.value), str(ratings_error.value)
+    assert episode_text.startswith("episode file: ") and ratings_text.startswith("ratings CSV line 2: ")
+    assert episode_text.removeprefix("episode file: ") == ratings_text.removeprefix("ratings CSV line 2: ")
+
+
 class TestParseRatingsCsv:
     def test_basic_rows(self):
         table = parse_ratings_csv(
@@ -581,6 +610,11 @@ class TestParseRatingsCsv:
     def test_byte_order_mark_skipped(self):
         table = parse_ratings_csv(b"\xef\xbb\xbfseries,season,episode,rating\ngot,1,2,8.5\n")
         assert table.get(EpisodeKey("got", 1, 2)) == 8.5
+
+    def test_byte_order_mark_is_one_rule_for_str_and_bytes(self):
+        text = "series,season,episode,rating\ngot,1,2,8.5\n"
+        marked = "\ufeff" + text
+        assert parse_ratings_csv(marked) == parse_ratings_csv(marked.encode()) == parse_ratings_csv(text)
 
     def test_header_required(self):
         with pytest.raises(FormatError, match="header"):
@@ -613,7 +647,7 @@ class TestParseRatingsCsv:
         "row, message",
         [
             (" ,1,1,8.0", "series is empty"),
-            ("got,0,1,8.0", "season and episode must be positive"),
+            ("got,0,1,8.0", "season must be a positive integer, got 0"),
             ("got,1,1,abc", "could not convert string to float: 'abc'"),
             ("\ud800x,1,1,8.0", "series '\\ud800x' is not encodable as UTF-8"),
         ],

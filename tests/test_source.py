@@ -104,6 +104,7 @@ RULE_TEXTS = {
     "self-loop on": "graph.py",
     "needs a positive finite weight": "graph.py",
     "UTF-8 bytes": "ingest.py",
+    "must be a positive integer": "ingest.py",
     "must be a finite number > 0": "metrics.py",
     "must be at least 1": "metrics.py",
     "permutation test needs": "stats.py",
