@@ -32,7 +32,6 @@ from .metrics import (
     density,
     efficiency_metric,
     eigenvector_vector,
-    global_efficiency,
     harmonic_vector,
     node_strengths,
     summarize,
@@ -44,7 +43,6 @@ from .stats import (
     add_permutation_pvalues,
     correlate_all,
     permutation_pvalue,
-    rank_with_ties,
     spearman_pvalue,
     spearman_rho,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "density",
     "efficiency_metric",
     "eigenvector_vector",
-    "global_efficiency",
     "harmonic_vector",
     "node_strengths",
     "summarize",
@@ -82,7 +79,6 @@ __all__ = [
     "add_permutation_pvalues",
     "correlate_all",
     "permutation_pvalue",
-    "rank_with_ties",
     "spearman_pvalue",
     "spearman_rho",
     "__version__",

@@ -114,8 +114,7 @@ class _Index:
     first use.  It keeps the graph's nodes and edges, so every metric
     function accepts it in place of the graph.  Each edge, in dict order,
     must pass graph._check_edge and the index's own two rules: a sorted
-    pair (or the lists hold a neighbor twice) and endpoints in the nodes,
-    whose count global efficiency divides by."""
+    pair (or the lists hold a neighbor twice) and endpoints in the nodes."""
 
     def __init__(self, graph) -> None:
         self.nodes, self.edges = graph.nodes, graph.edges
@@ -234,15 +233,6 @@ def _efficiency(n: int, histograms) -> float:
     integers and rounded once."""
     pooled = [sum(column) for column in zip_longest(*histograms, fillvalue=0)]
     return _reciprocal(pooled) / (n * (n - 1))
-
-
-def global_efficiency(graph) -> float:
-    """Efficiency of the whole graph as given; unreachable pairs contribute 0."""
-    index = _index(graph)
-    n = len(index.nodes)
-    if n < 2:
-        return 0.0
-    return _efficiency(n, index.hops[1])
 
 
 def efficiency_metric(graph, mode: str = _DEFAULT.efficiency_mode) -> float:

@@ -3,14 +3,13 @@
 rho is the Pearson correlation of average ranks, which stays correct under
 ties; the classic 6*sum(d^2) shortcut is deliberately not used (it is only
 valid tie-free, and review scores repeat).  rho and the permutation test
-read the same exact int ranks, each twice a centered rank; only
-rank_with_ties returns float ranks.  rho is their int dot product over the
-root of the product of their int sums of squares; below about 2*10^5
-values that is the float that half-integer centered ranks give in
-floating point.  Two-tailed p-values come from the Student-t
+read the same exact int ranks, each twice a centered rank.  rho is their
+int dot product over the root of the product of their int sums of squares;
+below about 2*10^5 values that is the float that half-integer centered
+ranks give in floating point.  Two-tailed p-values come from the Student-t
 approximation with n-2 degrees of freedom, whose tail at an integer df is
-an exact finite sum.  A seeded permutation test provides an
-independent cross-check of that approximation.
+an exact finite sum.  A seeded permutation test provides an independent
+cross-check of that approximation.
 """
 
 from __future__ import annotations
@@ -69,11 +68,6 @@ def _doubled_ranks(values) -> list[int]:
     return ranks
 
 
-def rank_with_ties(values) -> list[float]:
-    """Ascending 1-based ranks; tied values share the mean of their positions."""
-    return [r / 2 for r in _doubled_ranks(values)]
-
-
 def _centered(values) -> list[int]:
     """The doubled centered ranks: each doubled rank minus n + 1, twice the mean rank."""
     ranks = _doubled_ranks(values)
@@ -94,15 +88,12 @@ def _paired(x, y) -> tuple[list[int], list[int]]:
     return centered[0], centered[1]
 
 
-def _rho(cx: list[int], cy: list[int]) -> float:
+def spearman_rho(x, y) -> float:
+    """Pearson correlation of the two average-rank vectors."""
+    cx, cy = _paired(x, y)
     dot = sum(map(operator.mul, cx, cy))
     rho = dot / math.sqrt(sum(a * a for a in cx) * sum(b * b for b in cy))
     return max(-1.0, min(1.0, rho))
-
-
-def spearman_rho(x, y) -> float:
-    """Pearson correlation of the two average-rank vectors."""
-    return _rho(*_paired(x, y))
 
 
 def spearman_pvalue(rho: float, n: int) -> float:
@@ -267,7 +258,7 @@ def correlate_all(rows: list[EpisodeMetrics], ratings: dict[EpisodeKey, float]) 
     for column in METRICS:
         values = [float(getattr(row, column.attr)) for row in usable]
         try:
-            rho = _rho(*_paired(values, reviews))
+            rho = spearman_rho(values, reviews)
         except DegenerateInputError as exc:
             results.append(CorrelationResult(column.label, None, None, note=str(exc)))
             continue

@@ -22,8 +22,8 @@ from charnet.metrics import (
     METRIC_BY_ATTR,
     compute_episode_metrics,
     degree_vector,
+    efficiency_metric,
     eigenvector_vector,
-    global_efficiency,
     harmonic_vector,
     transitivity,
 )
@@ -37,8 +37,8 @@ from charnet.stats import (
 )
 
 from oracles import (
+    brute_component_mean_efficiency,
     brute_degrees,
-    brute_global_efficiency,
     brute_harmonic,
     brute_transitivity,
     dense_adjacency,
@@ -158,8 +158,8 @@ def test_criterion_3_metric_oracles():
         assert transitivity(graph) == pytest.approx(
             brute_transitivity(graph.nodes, edges), abs=1e-6
         )
-        assert global_efficiency(graph) == pytest.approx(
-            brute_global_efficiency(graph.nodes, edges), abs=1e-6
+        assert efficiency_metric(graph) == pytest.approx(
+            brute_component_mean_efficiency(edges), abs=1e-6
         )
         harmonic = harmonic_vector(graph)
         expected_harmonic = brute_harmonic(edges)

@@ -27,7 +27,6 @@ from charnet.metrics import (
     density,
     efficiency_metric,
     eigenvector_vector,
-    global_efficiency,
     harmonic_vector,
     node_strengths,
     summarize,
@@ -37,7 +36,6 @@ from charnet.metrics import (
 from oracles import (
     brute_component_mean_efficiency,
     brute_degrees,
-    brute_global_efficiency,
     brute_harmonic,
     brute_transitivity,
     dense_dominant_eigen,
@@ -121,26 +119,19 @@ class TestStrength:
         assert "Mute" not in vec
 
 
-class TestGlobalEfficiency:
-    def test_k2(self):
-        assert global_efficiency(graph_from({("A", "B"): 9.0})) == 1.0
-
-    def test_path3(self):
-        assert global_efficiency(graph_from(PATH3)) == pytest.approx(5.0 / 6.0)
-
-    def test_disconnected_pairs_contribute_zero(self):
-        assert global_efficiency(graph_from(TWO_EDGES)) == pytest.approx(1.0 / 3.0)
-
-    def test_isolated_node_included_when_present(self):
-        g = graph_from({("A", "B"): 1.0}, extra_nodes=["C"])
-        # 6 ordered pairs, 2 finite at distance 1
-        assert global_efficiency(g) == pytest.approx(1.0 / 3.0)
-
-    def test_below_two_nodes(self):
-        assert global_efficiency(EpisodeGraph(key=KEY)) == 0.0
-
-
 class TestEfficiencyMetric:
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [({("A", "B"): 9.0}, 1.0), (PATH3, 5.0 / 6.0), (TWO_EDGES, 1.0)],
+        ids=["k2", "path3", "components-averaged-not-pooled"],
+    )
+    def test_component_mean(self, edges, expected):
+        assert efficiency_metric(graph_from(edges)) == pytest.approx(expected)
+
+    def test_empty_graph_degenerate(self):
+        with pytest.raises(DegenerateGraphError, match="^no connected component has 2 or more nodes$"):
+            efficiency_metric(EpisodeGraph(key=KEY))
+
     def test_triangle_component_mean(self):
         assert efficiency_metric(graph_from(TRIANGLE)) == 1.0
 
@@ -157,6 +148,11 @@ class TestEfficiencyMetric:
     def test_singleton_components_excluded(self):
         g = graph_from(PATH3, extra_nodes=["Hermit"])
         assert efficiency_metric(g) == pytest.approx(5.0 / 6.0)
+
+    def test_isolated_node_excluded_when_present(self):
+        g = graph_from({("A", "B"): 1.0}, extra_nodes=["C"])
+        # C is a component of one node, so only the A-B component is averaged
+        assert efficiency_metric(g) == pytest.approx(1.0)
 
     def test_no_edges_degenerate(self):
         with pytest.raises(DegenerateGraphError):
@@ -232,7 +228,6 @@ class TestHarmonic:
             assert scores[v] == float(exact), v
         pairs = sum(Fraction(2 * (len(names) - k), k) for k in range(1, len(names)))
         assert efficiency_metric(g) == float(pairs) / 30
-        assert global_efficiency(g) == float(pairs) / 30
 
 
 _PATH10 = [f"N{i:02d}" for i in range(10)]
@@ -501,7 +496,6 @@ class TestSelfLoop:
         active_nodes,
         density,
         node_strengths,
-        global_efficiency,
         efficiency_metric,
         lambda g: efficiency_metric(g, mode="neighborhood"),
         transitivity,
@@ -558,8 +552,8 @@ class TestBadWeight:
 
 class TestMissingEndpoint:
     """Only a hand-built graph can hold an edge whose endpoint is not one of
-    its nodes; every metric function refuses it instead of counting fewer
-    nodes than it reaches, which put global efficiency above 1."""
+    its nodes; every metric function refuses it instead of reaching a node
+    that the graph does not hold."""
 
     @pytest.mark.parametrize("function", [*TestSelfLoop.FUNCTIONS, compute_episode_metrics])
     def test_every_metric_function_raises(self, function):
@@ -842,8 +836,8 @@ def test_oracle_equivalence_on_small_graphs():
         assert transitivity(g) == pytest.approx(
             brute_transitivity(g.nodes, edges), abs=1e-6
         )
-        assert global_efficiency(g) == pytest.approx(
-            brute_global_efficiency(g.nodes, edges), abs=1e-6
+        assert efficiency_metric(g) == pytest.approx(
+            brute_component_mean_efficiency(edges), abs=1e-6
         )
         harmonic = harmonic_vector(g)
         for node, expected in brute_harmonic(edges).items():

@@ -165,6 +165,40 @@ def test_library_has_no_unused_imports_or_private_defs():
     assert dead == []
 
 
+def _public_reads(node) -> set[str]:
+    """Names that node loads, as a name or an attribute, or imports from charnet."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom) and (sub.level or sub.module.startswith("charnet")):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+# connected_components is exported for perfbench's tracer alone; ROADMAP
+# item 2 decides whether the metrics read it or it goes
+UNUSED_EXPORTS = {"connected_components"}
+
+
+def test_every_public_name_is_used_or_documented():
+    # a name in __all__ that neither the library, the scripts, README nor
+    # pyproject.toml reads is surface that nothing runs
+    used = set()
+    sources = sorted((REPO_ROOT / "src" / "charnet").glob("*.py")) + sorted((REPO_ROOT / "scripts").glob("*.py"))
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            used |= _public_reads(statement) - {getattr(statement, "name", None)}
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    used.update(word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span))
+    used.update(re.findall(r"\bcharnet\.(\w+)", (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    assert {name for name in charnet.__all__ if name not in used} == UNUSED_EXPORTS
+
+
 def _readme_call_forms() -> list[tuple[int, str, str]]:
     """(line, name, parameter text) of each README code span that is
     exactly a call form `name(p1, p2=default, ...)` of a public function:

@@ -19,7 +19,6 @@ from charnet.stats import (
     add_permutation_pvalues,
     correlate_all,
     permutation_pvalue,
-    rank_with_ties,
     significance_stars,
     spearman_pvalue,
     spearman_rho,
@@ -53,36 +52,42 @@ class TestSignificanceStars:
         assert significance_stars(p) == expected
 
 
-class TestRankWithTies:
+class TestDoubledRanks:
+    """stats._doubled_ranks, halved back to 1-based average ranks."""
+
+    @staticmethod
+    def ranks(values) -> list[float]:
+        return [r / 2 for r in stats._doubled_ranks(values)]
+
     def test_distinct(self):
-        assert rank_with_ties([10.0, 30.0, 20.0]) == [1.0, 3.0, 2.0]
+        assert self.ranks([10.0, 30.0, 20.0]) == [1.0, 3.0, 2.0]
 
     def test_pair_tie(self):
-        assert rank_with_ties([1.0, 2.0, 2.0, 4.0]) == [1.0, 2.5, 2.5, 4.0]
+        assert self.ranks([1.0, 2.0, 2.0, 4.0]) == [1.0, 2.5, 2.5, 4.0]
 
     def test_all_tied(self):
-        assert rank_with_ties([7.0, 7.0, 7.0]) == [2.0, 2.0, 2.0]
+        assert self.ranks([7.0, 7.0, 7.0]) == [2.0, 2.0, 2.0]
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError, match="^rank input contains a non-finite value$"):
-            rank_with_ties([1.0, math.nan])
+            self.ranks([1.0, math.nan])
         with pytest.raises(DomainError, match="^rank input contains a non-finite value$"):
-            rank_with_ties([1.0, math.inf])
+            self.ranks([1.0, math.inf])
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInputError):
-            rank_with_ties([])
+            self.ranks([])
 
     def test_int_past_float_range_rejected(self):
         with pytest.raises(DomainError, match="^rank input contains a value past the float range$"):
-            rank_with_ties([10**400, 1, 2])
+            self.ranks([10**400, 1, 2])
         with pytest.raises(DomainError, match="^rank input contains a value past the float range$"):
             spearman_rho([10**400, 1, 2, 3], [1, 2, 3, 4])
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
     def test_rank_sum_invariant(self, values):
-        ranks = rank_with_ties(values)
+        ranks = self.ranks(values)
         n = len(values)
         assert sum(ranks) == pytest.approx(n * (n + 1) / 2.0, rel=1e-12)
         assert all(1.0 <= r <= n for r in ranks)
@@ -90,7 +95,7 @@ class TestRankWithTies:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30))
     def test_equal_values_share_rank(self, values):
-        ranked = rank_with_ties(values)
+        ranked = self.ranks(values)
         by_value: dict[float, set[float]] = {}
         for v, r in zip(values, ranked):
             by_value.setdefault(v, set()).add(r)
@@ -575,6 +580,32 @@ class TestCorrelateAll:
         report = correlate_all(rows, _demo_ratings())
         assert report.n == 8
         assert report.excluded == 2
+
+    def test_rows_equal_spearman_functions(self):
+        rng = random.Random(36)
+        series = [(_demo_rows(), _demo_ratings())]
+        for n in (4, 6, 9, 15, 40):
+            rows, ratings = [], {}
+            for i in range(n):
+                key = EpisodeKey("ties", 1, i + 1)
+                rows.append(EpisodeMetrics(key, **{c.attr: rng.randrange(4) for c in METRICS}))
+                ratings[key] = rng.choice([6.5, 7.0, 7.5, 8.0])
+            series.append((rows, ratings))
+        tested = 0
+        for rows, ratings in series:
+            # every row is rated and the rows are in key order, as correlate_all reads them
+            report = correlate_all(rows, ratings)
+            reviews = [ratings[row.key] for row in rows]
+            for column, result in zip(METRICS, report.results):
+                values = [float(getattr(row, column.attr)) for row in rows]
+                if result.rho is None:
+                    with pytest.raises(DegenerateInputError, match=f"^{result.note}$"):
+                        spearman_rho(values, reviews)
+                    continue
+                tested += 1
+                assert result.rho.hex() == spearman_rho(values, reviews).hex(), column.label
+                assert result.p_value.hex() == spearman_pvalue(result.rho, report.n).hex(), column.label
+        assert tested >= 60
 
     def test_permutation_column(self):
         report = _correlate_with_permutations(_demo_rows(), _demo_ratings(), 1000, 7)
